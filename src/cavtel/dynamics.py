@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._kernels import eig_propagate, phase_decay_apply, survival_solve
 from .params import PhysicalParams
 from .spaces import Register, SparseOp, norm2
 
@@ -158,6 +157,29 @@ def decay_balance_defect(h: SparseOp, channels) -> float:
 # -- propagators ------------------------------------------------------------------
 
 
+def survival_solve(weights, rates, u, t_max):
+    """First t in (0, t_max] where sum_i weights[i]*exp(-rates[i]*t) == u.
+
+    The sum is the squared norm of a state under diagonal decay; it is
+    monotone nonincreasing. Returns -1.0 when the survival at t_max still
+    exceeds u (no jump inside the window). Bisection to 1e-12 relative.
+    """
+    s_end = float(np.sum(weights * np.exp(-rates * t_max)))
+    if s_end > u:
+        return -1.0
+    lo, hi = 0.0, t_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        s = float(np.sum(weights * np.exp(-rates * mid)))
+        if s > u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * t_max:
+            break
+    return 0.5 * (lo + hi)
+
+
 class DiagonalPropagator:
     """exp(-iHt) for diagonal H, with analytic no-jump survival times."""
 
@@ -169,7 +191,7 @@ class DiagonalPropagator:
             raise ValueError("diagonal growth would break norm monotonicity")
 
     def evolve(self, psi, t):
-        return phase_decay_apply(psi, self.phase_rate, self.decay_rate, t)
+        return psi * np.exp((1j * self.phase_rate - self.decay_rate) * t)
 
     def survival_time(self, psi, threshold, t_max):
         """First time the squared norm reaches threshold, or -1 if it never does."""
@@ -185,7 +207,7 @@ class EigPropagator:
         self.wmat = np.ascontiguousarray(wmat)
 
     def evolve(self, psi, t):
-        return eig_propagate(self.vmat, self.wmat, self.lam, psi, t)
+        return self.vmat @ (np.exp(-1j * self.lam * t) * (self.wmat @ psi))
 
 
 class ExpmPropagator:

@@ -24,7 +24,7 @@ chosen equal to ``shift_strong`` so the exchange resonance stays centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +51,12 @@ class PhysicalParams:
     cavity_coupling: float
     atom_decay: float
     cavity_decay: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be a finite rate > 0")
 
     @classmethod
     def from_mhz(

@@ -38,6 +38,7 @@ from .dynamics import (
     detector_channels,
     emission_channels,
     evolve_with_jumps,
+    survival_solve,
 )
 from .params import PhysicalParams
 from .pulses import FLIP_INTENT_ANGLE, PULSE_INTENT, AnalyticEngine, PulseTimes, solve_pulse_times
@@ -214,7 +215,7 @@ class IdealBackend:
         self.times = times or solve_pulse_times(params)
         self.space = protocol_space()
         self.engine = AnalyticEngine(self.space, params)
-        self._collapse = self.engine.collapse_ops()
+        self._ports = [ch.op for ch in detector_channels(self.space, params)]
 
     def initial_state(self, a, b) -> np.ndarray:
         psi = a * self.space.ket("1010;110") + b * self.space.ket("0110;110")
@@ -237,22 +238,14 @@ class IdealBackend:
         return psi, [], span
 
     def _first_click_time(self, weights, rates, u):
+        # Widen the window until the survival falls to u inside it.
         t_max = 1.0
         for _ in range(200):
-            s = float(np.sum(weights * np.exp(-rates * t_max)))
-            if s <= u:
+            t = survival_solve(weights, rates, u, t_max)
+            if t >= 0.0:
                 break
             t_max *= 4.0
-        lo, hi = 0.0, t_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(np.sum(weights * np.exp(-rates * mid))) > u:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * t_max:
-                break
-        return 0.5 * (lo + hi)
+        return t
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
         """Detection in the long-window limit: each photon is eventually
@@ -270,7 +263,7 @@ class IdealBackend:
                 break
             dt = self._first_click_time(weights, rates, u)
             tilde = engine.apply_wait(psi, dt)
-            plus, minus = self._collapse[0].apply(tilde), self._collapse[1].apply(tilde)
+            plus, minus = self._ports[0].apply(tilde), self._ports[1].apply(tilde)
             w_plus, w_minus = norm2(plus), norm2(minus)
             take_plus = rng.random() < w_plus / (w_plus + w_minus)
             psi = normalized(plus if take_plus else minus)
@@ -288,9 +281,6 @@ class IdealBackend:
 
     def truncation_exposure(self, psi, drives) -> float:
         # The closed-form maps raise on any real cutoff hit instead.
-        return 0.0
-
-    def top_population(self, psi) -> float:
         return 0.0
 
 
@@ -386,9 +376,6 @@ class NumericBackend:
                     space.atom_levels(site, atom) == 1
                 )
         return float(np.sum(np.abs(psi[mask]) ** 2))
-
-    def top_population(self, psi) -> float:
-        return self.space.top_level_population(psi)
 
 
 def make_backend(kind, params, times=None):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pair_rotate, phase_decay_apply
 from .params import PhysicalParams
 from .spaces import Register
 
@@ -183,7 +182,7 @@ class AnalyticEngine:
 
     def apply_wait(self, psi, t, sites=None, photon_shift=True, decay=True):
         phase, dec = self.wait_exponents(sites, photon_shift, decay)
-        return phase_decay_apply(psi, phase, dec, t)
+        return psi * np.exp((1j * phase - dec) * t)
 
     # -- laser pulses ---------------------------------------------------------------
 
@@ -204,7 +203,7 @@ class AnalyticEngine:
             raise PulseTruncationError("exchange pulse reached the photon cutoff")
         shift_q = np.where(beta > 0, beta * (2 * n0x + 1) - n0x, 0.0)
         fac = np.exp(1j * (p.detuning_offset * (n0x + 1) + 0.5 * p.shift_photon * shift_q) * t)
-        return pair_rotate(psi, partner, np.cos(angles), np.sin(angles), fac)
+        return fac * (np.cos(angles) * psi + 1j * np.sin(angles) * psi[partner])
 
     def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None):
         """One two-laser pulse swapping levels 1 and 0 of one atom.
@@ -219,27 +218,9 @@ class AnalyticEngine:
         fac = np.exp(1j * self.params.detuning_offset * (n0x + 1) * t)
         cosv = np.full(self.space.dim, math.cos(angle))
         sinv = np.full(self.space.dim, math.sin(angle))
-        return pair_rotate(psi, partner, cosv, sinv, fac)
+        return fac * (cosv * psi + 1j * sinv * psi[partner])
 
     # -- photon bookkeeping ------------------------------------------------------------
-
-    def collapse_ops(self):
-        """Unnormalized detector collapse maps for the two output ports."""
-        space = self.space
-        a0 = space.annihilate(0)
-        if len(space.sites) > 1:
-            a1 = space.annihilate(1)
-            plus, minus = a0 + a1, a0 + a1.scaled(-1.0)
-        else:
-            plus = minus = a0
-        scale = math.sqrt(self.params.cavity_decay)
-        return plus.scaled(scale), minus.scaled(scale)
-
-    def sector_weights(self, psi):
-        """Population per total photon number."""
-        w = np.zeros(int(self.total_photons.max()) + 1)
-        np.add.at(w, self.total_photons, np.abs(psi) ** 2)
-        return w
 
     def project_sector(self, psi, n_total):
         out = psi.copy()

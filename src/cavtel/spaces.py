@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import coo_apply
-
 
 @dataclass(frozen=True)
 class SiteShape:
@@ -52,14 +50,11 @@ class SparseOp:
         self.cols = np.asarray(cols, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.complex128)
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, [], [], [])
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
+        """A @ psi; duplicate entries accumulate."""
         out = np.zeros(self.dim, dtype=np.complex128)
         if self.rows.size:
-            coo_apply(self.rows, self.cols, self.vals, psi, out)
+            np.add.at(out, self.rows, self.vals * psi[self.cols])
         return out
 
     def dagger(self) -> "SparseOp":
@@ -120,7 +115,6 @@ class Register:
         rem = idx
         for k, r in enumerate(radices):
             self._digits[k] = (rem // strides[k]) % r
-        self.creation_truncations = 0
 
     # -- label <-> index ---------------------------------------------------
 
@@ -215,41 +209,7 @@ class Register:
         cols = np.nonzero(y >= 1)[0].astype(np.int64)
         return SparseOp(self.dim, cols - self.stride(site), cols, np.sqrt(y[cols].astype(float)))
 
-    def create(self, site) -> SparseOp:
-        """Truncated raising operator: amplitude at the cutoff is dropped."""
-        y = self.photon_numbers(site)
-        cols = np.nonzero(y < self.sites[site].cutoff)[0].astype(np.int64)
-        return SparseOp(self.dim, cols + self.stride(site), cols, np.sqrt(y[cols] + 1.0))
-
-    def apply_create(self, site, psi) -> np.ndarray:
-        """Apply the raising operator, counting truncation at the cutoff.
-
-        Any population on the top photon level would leave the truncated
-        space; it is dropped and ``creation_truncations`` is incremented so
-        callers can flag the trajectory.
-        """
-        at_top = self.photon_numbers(site) == self.sites[site].cutoff
-        if np.any(np.abs(psi[at_top]) > 0):
-            self.creation_truncations += 1
-        return self.create(site).apply(psi)
-
-    def number(self, site) -> SparseOp:
-        y = self.photon_numbers(site)
-        cols = np.nonzero(y >= 1)[0].astype(np.int64)
-        return SparseOp(self.dim, cols, cols, y[cols].astype(float))
-
-    def identity(self) -> SparseOp:
-        idx = np.arange(self.dim, dtype=np.int64)
-        return SparseOp(self.dim, idx, idx, np.ones(self.dim))
-
     # -- reductions ----------------------------------------------------------
-
-    def top_level_population(self, psi) -> float:
-        """Total population on any site's highest photon level."""
-        mask = np.zeros(self.dim, dtype=bool)
-        for site, shape in enumerate(self.sites):
-            mask |= self.photon_numbers(site) == shape.cutoff
-        return float(np.sum(np.abs(psi[mask]) ** 2))
 
     def reduced_density(self, psi, site) -> np.ndarray:
         """Density matrix of one site, the rest traced out."""
@@ -285,6 +245,3 @@ def normalized(psi) -> np.ndarray:
         raise ValueError("cannot normalize the zero vector")
     return psi / n
 
-
-def overlap(phi, psi) -> complex:
-    return complex(np.vdot(phi, psi))

@@ -10,6 +10,16 @@ from cavtel.checks import CheckOutcome
 from cavtel.params import TWO_PI
 
 
+REFERENCE_MHZ = {
+    "laser_detuning": 2000.0,
+    "rabi_strong": 10.0,
+    "rabi_weak": 0.84,
+    "cavity_coupling": 0.07,
+    "atom_decay": 1e-4,
+    "cavity_decay": 1e-7,
+}
+
+
 def _run_main(argv):
     return cli.main(argv)
 
@@ -77,14 +87,7 @@ def test_params_mhz_config(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "backend": "ideal",
         "trajectories": 2,
-        "params_mhz": {
-            "laser_detuning": 2000.0,
-            "rabi_strong": 10.0,
-            "rabi_weak": 0.84,
-            "cavity_coupling": 0.07,
-            "atom_decay": 1e-4,
-            "cavity_decay": 1e-7,
-        },
+        "params_mhz": REFERENCE_MHZ,
     }))
     code = _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == 0
@@ -105,6 +108,9 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"input": [1.0, 2.0, 3.0]}, "input"),
         ({"mystery_key": 1}, "unknown config keys"),
         ({"params_mhz": {"rabi_strong": 1.0}}, "missing"),
+        ({"params_mhz": {**REFERENCE_MHZ, "laser_detuning": 0.0}}, "laser_detuning"),
+        ({"params_mhz": {**REFERENCE_MHZ, "cavity_decay": -1e-7}}, "cavity_decay"),
+        ({"params_mhz": {**REFERENCE_MHZ, "rabi_strong": float("nan")}}, "rabi_strong"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):

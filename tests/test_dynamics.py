@@ -125,6 +125,21 @@ def test_detector_channels_signs(params):
     assert norm2(minus.op.apply(psi)) == pytest.approx(4 * params.cavity_decay)
 
 
+def test_detector_channels_port_combinations(params):
+    two = Register([SiteShape(1, 2, 2), SiteShape(1, 2, 2)])
+    plus, minus = (ch.op for ch in detector_channels(two, params))
+    psi = two.ket("01;00") + two.ket("00;01")
+    scale = np.sqrt(params.cavity_decay)
+    vac = two.index(two.parse("00;00"))
+    assert plus.apply(psi)[vac] == pytest.approx(2 * scale)
+    assert minus.apply(psi)[vac] == pytest.approx(0.0)
+
+    # A single site feeds the same field to both ports.
+    one = Register([SiteShape(1, 2, 2)])
+    plus1, minus1 = (ch.op for ch in detector_channels(one, params))
+    assert np.allclose(plus1.to_dense(), minus1.to_dense())
+
+
 def test_make_propagator_picks_structure():
     diag = SparseOp.from_dense(np.diag([1.0, 2.0]).astype(complex))
     assert isinstance(make_propagator(diag), DiagonalPropagator)

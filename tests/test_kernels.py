@@ -1,9 +1,19 @@
-"""Both kernel implementations agree and match plain-math references."""
+"""The hot numeric kernels, checked through the methods that run them.
+
+Each kernel is one numpy expression inside its caller: the coordinate-form
+apply in ``SparseOp.apply``, the phase-decay map in
+``DiagonalPropagator.evolve``, the survival root-finder
+``dynamics.survival_solve``, the pairwise rotation in the closed-form pulse
+maps, and the eigenbasis propagation in ``EigPropagator.evolve``.
+"""
 
 import numpy as np
 import pytest
 
-from cavtel import _kernels as K
+from cavtel.dynamics import DiagonalPropagator, EigPropagator, survival_solve
+from cavtel.params import reference_params
+from cavtel.pulses import AnalyticEngine
+from cavtel.spaces import Register, SiteShape, SparseOp
 
 
 def _rng():
@@ -18,36 +28,33 @@ def _random_coo(rng, dim=40, nnz=160):
     return rows, cols, vals, psi
 
 
+def _dense(dim, rows, cols, vals):
+    mat = np.zeros((dim, dim), dtype=complex)
+    np.add.at(mat, (rows, cols), vals)
+    return mat
+
+
 def test_coo_apply_matches_dense_matmul():
     rng = _rng()
     rows, cols, vals, psi = _random_coo(rng)
-    dense = np.zeros((40, 40), dtype=complex)
-    np.add.at(dense, (rows, cols), vals)
-    out = np.zeros(40, dtype=complex)
-    K.coo_apply(rows, cols, vals, psi, out)
-    assert np.allclose(out, dense @ psi, atol=1e-12)
+    out = SparseOp(40, rows, cols, vals).apply(psi)
+    assert np.allclose(out, _dense(40, rows, cols, vals) @ psi, atol=1e-12)
 
 
 def test_coo_apply_accumulates_into_out():
+    # A sum of operators concatenates entries; apply accumulates both parts.
     rng = _rng()
     rows, cols, vals, psi = _random_coo(rng, dim=12, nnz=30)
-    seed = rng.normal(size=12) + 1j * rng.normal(size=12)
-    out = seed.copy()
-    K.coo_apply(rows, cols, vals, psi, out)
-    dense = np.zeros((12, 12), dtype=complex)
-    np.add.at(dense, (rows, cols), vals)
-    assert np.allclose(out, seed + dense @ psi, atol=1e-12)
+    seed = SparseOp.from_dense(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+    out = (seed + SparseOp(12, rows, cols, vals)).apply(psi)
+    assert np.allclose(out, seed.to_dense() @ psi + _dense(12, rows, cols, vals) @ psi, atol=1e-12)
 
 
 def test_coo_apply_duplicate_entries_sum():
-    rows = np.array([3, 3], dtype=np.int64)
-    cols = np.array([1, 1], dtype=np.int64)
-    vals = np.array([2.0 + 0j, 5.0 + 0j])
+    op = SparseOp(5, [3, 3], [1, 1], [2.0, 5.0])
     psi = np.zeros(5, dtype=complex)
     psi[1] = 1.0
-    out = np.zeros(5, dtype=complex)
-    K.coo_apply(rows, cols, vals, psi, out)
-    assert out[3] == pytest.approx(7.0)
+    assert op.apply(psi)[3] == pytest.approx(7.0)
 
 
 def test_phase_decay_apply_closed_form():
@@ -56,7 +63,7 @@ def test_phase_decay_apply_closed_form():
     phase = rng.normal(size=64)
     decay = rng.uniform(0.0, 2.0, size=64)
     t = 0.37
-    got = K.phase_decay_apply(amps, phase, decay, t)
+    got = DiagonalPropagator(-phase - 1j * decay).evolve(amps, t)
     want = amps * np.exp((1j * phase - decay) * t)
     assert np.allclose(got, want, atol=1e-13)
 
@@ -65,7 +72,7 @@ def test_survival_solve_single_rate_log_formula():
     weights = np.array([1.0])
     rates = np.array([0.8])
     u = 0.3
-    t = K.survival_solve(weights, rates, u, 50.0)
+    t = survival_solve(weights, rates, u, 50.0)
     assert t == pytest.approx(np.log(1.0 / u) / 0.8, rel=1e-9)
 
 
@@ -73,44 +80,58 @@ def test_survival_solve_mixture_consistency():
     weights = np.array([0.4, 0.35, 0.25])
     rates = np.array([0.1, 1.0, 3.0])
     u = 0.2
-    t = K.survival_solve(weights, rates, u, 100.0)
+    t = survival_solve(weights, rates, u, 100.0)
     assert float(np.sum(weights * np.exp(-rates * t))) == pytest.approx(u, rel=1e-8)
 
 
 def test_survival_solve_returns_minus_one_when_no_jump():
     weights = np.array([1.0])
     rates = np.array([0.01])
-    assert K.survival_solve(weights, rates, 0.5, 1.0) == -1.0
+    assert survival_solve(weights, rates, 0.5, 1.0) == -1.0
 
 
 def test_survival_solve_zero_rate_component_floors_survival():
     # 30% of the weight never decays, so u below 0.3 is unreachable.
     weights = np.array([0.7, 0.3])
     rates = np.array([2.0, 0.0])
-    assert K.survival_solve(weights, rates, 0.25, 1e6) == -1.0
-    t = K.survival_solve(weights, rates, 0.5, 1e6)
+    assert survival_solve(weights, rates, 0.25, 1e6) == -1.0
+    t = survival_solve(weights, rates, 0.5, 1e6)
     assert float(np.sum(weights * np.exp(-rates * t))) == pytest.approx(0.5, rel=1e-6)
 
 
-def test_pair_rotate_reference():
+@pytest.fixture(scope="module")
+def one_atom():
+    return AnalyticEngine(Register([SiteShape(1, 2, 2)]), reference_params())
+
+
+def test_pair_rotate_reference(one_atom):
+    # Exchange pulse blocks (1, y) <-> (0, y+1) in sectors beta = 1 and 2,
+    # each rotated by sqrt(beta)*rabi_exchange*t under its own phase.
+    eng, p = one_atom, one_atom.params
+    space = eng.space
     rng = _rng()
-    n = 16
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    partner = rng.permutation(n).astype(np.int64)
-    theta = rng.normal(size=n)
-    cosv, sinv = np.cos(theta), np.sin(theta)
-    fac = np.exp(1j * rng.normal(size=n))
-    got = K.pair_rotate(amps, partner, cosv, sinv, fac)
-    want = fac * (cosv * amps + 1j * sinv * amps[partner])
-    assert np.allclose(got, want, atol=1e-13)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    labels = ("10", "01", "11", "02")
+    psi = sum(a * space.ket(lab) for a, lab in zip(amps, labels))
+    t = 3.0e3
+    got = eng.apply_exchange_pulse(psi, 0, 0, t)
+    for beta, (up, down) in ((1, (0, 1)), (2, (2, 3))):
+        angle = np.sqrt(beta) * p.rabi_exchange * t
+        fac = np.exp(1j * (p.detuning_offset + 0.5 * p.shift_photon * beta) * t)
+        c, s = np.cos(angle), np.sin(angle)
+        want_up = fac * (c * amps[up] + 1j * s * amps[down])
+        want_down = fac * (c * amps[down] + 1j * s * amps[up])
+        assert got[space.index(space.parse(labels[up]))] == pytest.approx(want_up, abs=1e-12)
+        assert got[space.index(space.parse(labels[down]))] == pytest.approx(want_down, abs=1e-12)
 
 
-def test_pair_rotate_identity_on_inert_components():
-    amps = np.array([1.0 + 2j, 3.0 - 1j])
-    partner = np.array([0, 1], dtype=np.int64)
-    ones = np.ones(2)
-    got = K.pair_rotate(amps, partner, ones, np.zeros(2), ones.astype(complex))
-    assert np.allclose(got, amps)
+def test_pair_rotate_identity_on_inert_components(one_atom):
+    # Atom in 0 with no photon has no partner: only the shared phase acts.
+    eng, p = one_atom, one_atom.params
+    psi = (1.0 + 2j) * eng.space.ket("00")
+    t = 3.0e3
+    got = eng.apply_exchange_pulse(psi, 0, 0, t)
+    assert np.allclose(got, np.exp(1j * p.detuning_offset * t) * psi, atol=1e-13)
 
 
 def test_eig_propagate_matches_expm():
@@ -123,60 +144,6 @@ def test_eig_propagate_matches_expm():
     w = np.linalg.inv(v)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     t = 0.9
-    got = K.eig_propagate(v, w, lam, psi, t)
+    got = EigPropagator(lam, v, w).evolve(psi, t)
     want = expm(-1j * h * t) @ psi
     assert np.allclose(got, want, atol=1e-9)
-
-
-NUMBA_PAIRS = [
-    ("coo_apply", "coo_apply_numpy"),
-    ("phase_decay_apply", "phase_decay_apply_numpy"),
-    ("survival_solve", "survival_solve_numpy"),
-    ("pair_rotate", "pair_rotate_numpy"),
-    ("eig_propagate", "eig_propagate_numpy"),
-]
-
-
-@pytest.mark.skipif(not K.NUMBA_ACTIVE, reason="numba path not active")
-@pytest.mark.parametrize("active_name,numpy_name", NUMBA_PAIRS)
-def test_numba_and_numpy_paths_agree(active_name, numpy_name):
-    rng = _rng()
-    active = getattr(K, active_name)
-    fallback = getattr(K, numpy_name)
-    assert active is not fallback
-
-    if active_name == "coo_apply":
-        rows, cols, vals, psi = _random_coo(rng)
-        out_a = np.zeros(40, dtype=complex)
-        out_b = np.zeros(40, dtype=complex)
-        active(rows, cols, vals, psi, out_a)
-        fallback(rows, cols, vals, psi, out_b)
-        assert np.allclose(out_a, out_b, atol=1e-12)
-    elif active_name == "phase_decay_apply":
-        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
-        phase = rng.normal(size=32)
-        decay = rng.uniform(0, 1, size=32)
-        assert np.allclose(active(amps, phase, decay, 0.5), fallback(amps, phase, decay, 0.5))
-    elif active_name == "survival_solve":
-        weights = np.array([0.5, 0.3, 0.2])
-        rates = np.array([0.2, 1.5, 4.0])
-        for u in (0.9, 0.5, 0.1, 1e-3):
-            assert active(weights, rates, u, 200.0) == pytest.approx(
-                fallback(weights, rates, u, 200.0), rel=1e-10, abs=1e-12
-            )
-    elif active_name == "pair_rotate":
-        n = 24
-        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        partner = rng.permutation(n).astype(np.int64)
-        theta = rng.normal(size=n)
-        fac = np.exp(1j * rng.normal(size=n))
-        got_a = active(amps, partner, np.cos(theta), np.sin(theta), fac)
-        got_b = fallback(amps, partner, np.cos(theta), np.sin(theta), fac)
-        assert np.allclose(got_a, got_b, atol=1e-13)
-    else:
-        n = 8
-        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lam, v = np.linalg.eig(h)
-        w = np.linalg.inv(v)
-        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.allclose(active(v, w, lam, psi, 1.3), fallback(v, w, lam, psi, 1.3), atol=1e-10)

@@ -46,6 +46,14 @@ def test_population_convention_halves_atom_decay():
         PhysicalParams.from_mhz(**kwargs, atom_decay_convention="sideways")
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-7, float("nan"), float("inf")])
+def test_rejects_rates_that_are_not_finite_and_positive(bad):
+    good = dataclasses.asdict(reference_params())
+    for field in good:
+        with pytest.raises(ValueError, match=field):
+            PhysicalParams(**{**good, field: bad})
+
+
 def test_params_are_frozen():
     p = reference_params()
     with pytest.raises(dataclasses.FrozenInstanceError):

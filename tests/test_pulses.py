@@ -189,31 +189,12 @@ def test_apply_wait_matches_exponent_formula():
     assert np.allclose(eng.apply_wait(psi, t), psi * np.exp((1j * phase - dec) * t))
 
 
-def test_collapse_ops_port_combinations():
-    p = reference_params()
-    two = Register([SiteShape(1, 2, 2), SiteShape(1, 2, 2)])
-    eng = AnalyticEngine(two, p)
-    plus, minus = eng.collapse_ops()
-    psi = two.ket("01;00") + two.ket("00;01")
-    scale = np.sqrt(p.cavity_decay)
-    vac = two.index(two.parse("00;00"))
-    assert plus.apply(psi)[vac] == pytest.approx(2 * scale)
-    assert minus.apply(psi)[vac] == pytest.approx(0.0)
-
-    one = Register([SiteShape(1, 2, 2)])
-    eng1 = AnalyticEngine(one, p)
-    plus1, minus1 = eng1.collapse_ops()
-    assert np.allclose(plus1.to_dense(), minus1.to_dense())
-
-
 def test_sector_tools(engine):
     space = engine.space
     psi = normalized(space.ket("100") + space.ket("101") + space.ket("112"))
-    w = engine.sector_weights(psi)
-    assert w[0] == pytest.approx(1 / 3)
-    assert w[1] == pytest.approx(1 / 3)
-    assert w[2] == pytest.approx(1 / 3)
+    for n_total in (0, 1, 2):
+        assert norm2(engine.project_sector(psi, n_total)) == pytest.approx(1 / 3)
+    assert norm2(engine.project_sector(psi, 3)) == 0.0
     only_one = engine.project_sector(psi, 1)
-    assert norm2(only_one) == pytest.approx(1 / 3)
     assert abs(only_one[space.index(space.parse("101"))]) > 0
     assert only_one[space.index(space.parse("100"))] == 0.0
