@@ -91,7 +91,7 @@ def _build_params(data) -> PhysicalParams | None:
     if missing:
         raise ConfigError(f"params_mhz missing keys: {', '.join(sorted(missing))}")
     convention = data.get("atom_decay_convention", "amplitude")
-    print("note: params_mhz values are plain frequencies in MHz, converted to rad/us by 2*pi")
+    print("note: params_mhz values are plain frequencies in MHz, converted to rad/us by 2*pi", file=sys.stderr)
     try:
         return PhysicalParams.from_mhz(
             atom_decay_convention=convention, **{k: float(raw[k]) for k in PARAM_KEYS}

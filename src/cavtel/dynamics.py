@@ -163,15 +163,22 @@ def survival_solve(weights, rates, u, t_max):
     The sum is the squared norm of a state under diagonal decay; it is
     monotone nonincreasing. Returns -1.0 when the survival at t_max still
     exceeds u (no jump inside the window). Bisection to 1e-12 relative.
+    The sum runs over plain floats, so callers should pass the weights
+    already summed per distinct rate: a handful of terms, not one per
+    basis state.
     """
-    s_end = float(np.sum(weights * np.exp(-rates * t_max)))
-    if s_end > u:
+    terms = [(w, r) for w, r in zip(np.asarray(weights, dtype=float).tolist(),
+                                    np.asarray(rates, dtype=float).tolist()) if w != 0.0]
+
+    def survival(t):
+        return sum([w * math.exp(-r * t) for w, r in terms])
+
+    if survival(t_max) > u:
         return -1.0
     lo, hi = 0.0, t_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        s = float(np.sum(weights * np.exp(-rates * mid)))
-        if s > u:
+        if survival(mid) > u:
             lo = mid
         else:
             hi = mid
@@ -189,13 +196,16 @@ class DiagonalPropagator:
         self.decay_rate = -np.imag(self.diag)
         if np.any(self.decay_rate < -1e-12):
             raise ValueError("diagonal growth would break norm monotonicity")
+        # Survival searches sum the squared amplitudes per distinct decay rate.
+        self._rates, self._rate_group = np.unique(2.0 * self.decay_rate, return_inverse=True)
 
     def evolve(self, psi, t):
         return psi * np.exp((1j * self.phase_rate - self.decay_rate) * t)
 
     def survival_time(self, psi, threshold, t_max):
         """First time the squared norm reaches threshold, or -1 if it never does."""
-        return survival_solve(np.abs(psi) ** 2, 2.0 * self.decay_rate, threshold, t_max)
+        weights = np.bincount(self._rate_group, weights=np.abs(psi) ** 2, minlength=len(self._rates))
+        return survival_solve(weights, self._rates, threshold, t_max)
 
 
 class EigPropagator:

@@ -53,6 +53,7 @@ class TrajectorySummary:
     branch: str
     leakage: float
     elapsed: float
+    reason: str = ""
 
     @property
     def succeeded(self) -> bool:
@@ -115,6 +116,7 @@ def run_ensemble(config: EnsembleConfig, trace=None, keep_records=False) -> Ense
                 branch=record.branch,
                 leakage=record.leakage,
                 elapsed=record.elapsed,
+                reason=record.reason,
             )
         )
         if keep_records:
@@ -235,12 +237,12 @@ def write_summaries_csv(path, summaries):
         writer = csv.writer(fh)
         writer.writerow(
             ["index", "outcome", "repetitions", "silent_resets", "double_resets",
-             "fidelity", "branch", "leakage", "elapsed_us"]
+             "fidelity", "branch", "leakage", "elapsed_us", "reason"]
         )
         for s in sorted(summaries, key=lambda s: s.index):
             writer.writerow(
                 [s.index, s.outcome, s.repetitions, s.silent_resets, s.double_resets,
-                 f"{s.fidelity:.12g}", s.branch, f"{s.leakage:.3g}", f"{s.elapsed:.6g}"]
+                 f"{s.fidelity:.12g}", s.branch, f"{s.leakage:.3g}", f"{s.elapsed:.6g}", s.reason]
             )
 
 

@@ -216,36 +216,50 @@ class IdealBackend:
         self.space = protocol_space()
         self.engine = AnalyticEngine(self.space, params)
         self._ports = [ch.op for ch in detector_channels(self.space, params)]
+        # Each photon sector decays as one term of the survival sum.
+        self._sectors = int(self.engine.total_photons.max()) + 1
+        self._sector_rates = 2.0 * params.cavity_decay * np.arange(self._sectors)
+        self._idle_factors = {}
 
     def initial_state(self, a, b) -> np.ndarray:
         psi = a * self.space.ket("1010;110") + b * self.space.ket("0110;110")
         return normalized(psi)
+
+    def _idle_factor(self, site, t):
+        # In-block waits take a few fixed durations per drive set, so their
+        # factors are memoised (built on first use).
+        key = (site, t)
+        factor = self._idle_factors.get(key)
+        if factor is None:
+            factor = self._idle_factors[key] = self.engine.wait_factor(t, sites=[site])
+        return factor
 
     def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
         span = max(self.times.duration(kind) for _, _, kind in drives)
         driven = {site for site, _, _ in drives}
         for site in range(len(self.space.sites)):
             if site not in driven:
-                psi = self.engine.apply_wait(psi, span, sites=[site])
+                psi = psi * self._idle_factor(site, span)
         for site, atom, kind in drives:
             dur = self.times.duration(kind)
             if dur < span:
-                psi = self.engine.apply_wait(psi, span - dur, sites=[site])
+                psi = psi * self._idle_factor(site, span - dur)
             if kind == "flip":
                 psi = self.engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=FLIP_INTENT_ANGLE)
             else:
                 psi = self.engine.apply_exchange_pulse(psi, site, atom, dur, intent=PULSE_INTENT[kind])
         return psi, [], span
 
-    def _first_click_time(self, weights, rates, u):
-        # Widen the window until the survival falls to u inside it.
+    def _first_click_time(self, weights, u):
+        # Widen the window until the survival falls to u inside it. The
+        # survival tends to weights[0] < u, so the bracket always closes.
         t_max = 1.0
         for _ in range(200):
-            t = survival_solve(weights, rates, u, t_max)
+            t = survival_solve(weights, self._sector_rates, u, t_max)
             if t >= 0.0:
-                break
+                return t
             t_max *= 4.0
-        return t
+        raise RuntimeError(f"click search never bracketed u={u!r} above the no-click weight {weights[0]!r}")
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
         """Detection in the long-window limit: each photon is eventually
@@ -253,15 +267,14 @@ class IdealBackend:
         engine = self.engine
         clicks = []
         elapsed = 0.0
-        rates = 2.0 * self.params.cavity_decay * engine.total_photons
         while True:
-            weights = np.abs(psi) ** 2
-            still = float(np.sum(weights[engine.total_photons == 0]))
+            weights = np.bincount(engine.total_photons, weights=np.abs(psi) ** 2, minlength=self._sectors)
+            still = weights[0]
             u = rng.random()
-            if u < still:
+            if u <= still:
                 psi = normalized(engine.project_sector(psi, 0))
                 break
-            dt = self._first_click_time(weights, rates, u)
+            dt = self._first_click_time(weights, u)
             tilde = engine.apply_wait(psi, dt)
             plus, minus = self._ports[0].apply(tilde), self._ports[1].apply(tilde)
             w_plus, w_minus = norm2(plus), norm2(minus)

@@ -25,6 +25,8 @@ from .spaces import Register
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 
+PULSE_KINDS = frozenset({"swap", "half_swap", "swap_all", "swap_double", "flip"})
+
 
 @dataclass(frozen=True)
 class PulseTimes:
@@ -45,13 +47,9 @@ class PulseTimes:
         return 0.5 * self.swap
 
     def duration(self, kind: str) -> float:
-        return {
-            "swap": self.swap,
-            "half_swap": self.half_swap,
-            "swap_all": self.swap_all,
-            "swap_double": self.swap_double,
-            "flip": self.flip,
-        }[kind]
+        if kind not in PULSE_KINDS:
+            raise KeyError(kind)
+        return getattr(self, kind)
 
 
 # Rotation angles each pulse kind is meant to realize, by excitation sector.
@@ -109,7 +107,16 @@ class PulseTruncationError(RuntimeError):
 
 
 class AnalyticEngine:
-    """Closed-form state maps for two-level sites under the reduced model."""
+    """Closed-form state maps for two-level sites under the reduced model.
+
+    A pulse's map depends only on its site, atom, duration and intent, and a
+    protocol run uses a handful of pulse kinds, so each map's coefficient
+    arrays are built on first use and memoised (at most ``MEMO_LIMIT`` at a
+    time); so are the wait exponents per site set. Nothing is built in
+    ``__init__``.
+    """
+
+    MEMO_LIMIT = 64
 
     def __init__(self, space: Register, params: PhysicalParams):
         for shape in space.sites:
@@ -120,45 +127,8 @@ class AnalyticEngine:
         self._y = [space.photon_numbers(s) for s in range(len(space.sites))]
         self._n0 = [space.zero_level_count(s) for s in range(len(space.sites))]
         self.total_photons = np.sum(self._y, axis=0)
-        self._exchange_tables = {}
-        self._flip_tables = {}
-
-    # -- table construction ----------------------------------------------------
-
-    def _exchange_table(self, site, atom):
-        key = (site, atom)
-        if key not in self._exchange_tables:
-            space = self.space
-            x = space.atom_levels(site, atom)
-            y = self._y[site]
-            n0x = space.zero_level_count(site, exclude_atom=atom)
-            cutoff = space.sites[site].cutoff
-            dim = space.dim
-            partner = np.arange(dim, dtype=np.int64)
-            beta = np.zeros(dim, dtype=np.int64)
-            da, dy = space.stride(site, atom), space.stride(site)
-            up = (x == 1) & (y < cutoff)
-            partner[up] = np.flatnonzero(up) - da + dy
-            beta[up] = y[up] + 1
-            down = (x == 0) & (y >= 1)
-            partner[down] = np.flatnonzero(down) + da - dy
-            beta[down] = y[down]
-            beta[(x == 1) & (y == cutoff)] = -1
-            self._exchange_tables[key] = (partner, beta, n0x)
-        return self._exchange_tables[key]
-
-    def _flip_table(self, site, atom):
-        key = (site, atom)
-        if key not in self._flip_tables:
-            space = self.space
-            x = space.atom_levels(site, atom)
-            da = space.stride(site, atom)
-            partner = np.arange(space.dim, dtype=np.int64)
-            partner[x == 1] -= da
-            partner[x == 0] += da
-            n0x = space.zero_level_count(site, exclude_atom=atom)
-            self._flip_tables[key] = (partner, n0x)
-        return self._flip_tables[key]
+        self._pulse_maps = {}
+        self._wait_rates = {}
 
     # -- waits -------------------------------------------------------------------
 
@@ -180,11 +150,35 @@ class AnalyticEngine:
                 dec += p.cavity_decay * self._y[s]
         return phase, dec
 
+    def wait_factor(self, t, sites=None, photon_shift=True, decay=True):
+        """Per-index laser-off factor exp((i*phase - decay) * t)."""
+        key = (None if sites is None else tuple(sites), photon_shift, decay)
+        rate = self._wait_rates.get(key)
+        if rate is None:
+            phase, dec = self.wait_exponents(sites, photon_shift, decay)
+            rate = self._wait_rates[key] = 1j * phase - dec
+        return np.exp(rate * t)
+
     def apply_wait(self, psi, t, sites=None, photon_shift=True, decay=True):
-        phase, dec = self.wait_exponents(sites, photon_shift, decay)
-        return psi * np.exp((1j * phase - dec) * t)
+        return psi * self.wait_factor(t, sites, photon_shift, decay)
 
     # -- laser pulses ---------------------------------------------------------------
+
+    def _pulse_map(self, key, build):
+        entry = self._pulse_maps.get(key)
+        if entry is None:
+            if len(self._pulse_maps) >= self.MEMO_LIMIT:
+                self._pulse_maps.clear()
+            entry = self._pulse_maps[key] = build()
+        return entry
+
+    @staticmethod
+    def _rotate(psi, pulse_map, error):
+        """Pairwise rotation; refuses amplitude on rows the map does not cover."""
+        cos_fac, isin_fac, partner, guard = pulse_map
+        if guard.size and float(np.max(np.abs(psi[guard]))) > 1e-12:
+            raise PulseTruncationError(error)
+        return cos_fac * psi + isin_fac * psi[partner]
 
     def apply_exchange_pulse(self, psi, site, atom, t, intent=None):
         """One strong-laser pulse on one atom, exact up to in-block averaging.
@@ -192,18 +186,34 @@ class AnalyticEngine:
         ``intent`` optionally pins the rotation angle per excitation sector;
         sectors it omits rotate by the literal sqrt(beta)*rabi_exchange*t.
         """
-        p = self.params
-        partner, beta, n0x = self._exchange_table(site, atom)
+        key = ("exchange", site, atom, float(t), tuple(sorted(intent.items())) if intent else ())
+        pulse_map = self._pulse_map(key, lambda: self._exchange_map(site, atom, t, intent))
+        return self._rotate(psi, pulse_map, "exchange pulse reached the photon cutoff")
+
+    def _exchange_map(self, site, atom, t, intent):
+        """(fac*cos, fac*i*sin, partner, cutoff rows) of one exchange pulse."""
+        space, p = self.space, self.params
+        x = space.atom_levels(site, atom)
+        y = self._y[site]
+        n0x = space.zero_level_count(site, exclude_atom=atom)
+        cutoff = space.sites[site].cutoff
+        partner = np.arange(space.dim, dtype=np.int64)
+        beta = np.zeros(space.dim, dtype=np.int64)
+        da, dy = space.stride(site, atom), space.stride(site)
+        up = (x == 1) & (y < cutoff)
+        partner[up] = np.flatnonzero(up) - da + dy
+        beta[up] = y[up] + 1
+        down = (x == 0) & (y >= 1)
+        partner[down] = np.flatnonzero(down) + da - dy
+        beta[down] = y[down]
+        beta[(x == 1) & (y == cutoff)] = -1
         angles = np.where(beta > 0, np.sqrt(np.maximum(beta, 0)) * p.rabi_exchange * t, 0.0)
         if intent:
             for sector, angle in intent.items():
                 angles[beta == sector] = angle
-        top = beta < 0
-        if np.any(top) and float(np.max(np.abs(psi[top]))) > 1e-12:
-            raise PulseTruncationError("exchange pulse reached the photon cutoff")
         shift_q = np.where(beta > 0, beta * (2 * n0x + 1) - n0x, 0.0)
         fac = np.exp(1j * (p.detuning_offset * (n0x + 1) + 0.5 * p.shift_photon * shift_q) * t)
-        return fac * (np.cos(angles) * psi + 1j * np.sin(angles) * psi[partner])
+        return fac * np.cos(angles), fac * (1j * np.sin(angles)), partner, np.flatnonzero(beta < 0)
 
     def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None):
         """One two-laser pulse swapping levels 1 and 0 of one atom.
@@ -211,14 +221,22 @@ class AnalyticEngine:
         Valid on photon-free states; photon-carrying components would leak
         through the exchange coupling, which this map does not include.
         """
-        if float(np.max(np.abs(psi[self.total_photons > 0]), initial=0.0)) > 1e-12:
-            raise PulseTruncationError("flip pulse applied while photons remain")
-        partner, n0x = self._flip_table(site, atom)
+        key = ("flip", site, atom, float(t), intent_angle)
+        pulse_map = self._pulse_map(key, lambda: self._flip_map(site, atom, t, intent_angle))
+        return self._rotate(psi, pulse_map, "flip pulse applied while photons remain")
+
+    def _flip_map(self, site, atom, t, intent_angle):
+        """(fac*cos, fac*i*sin, partner, photon rows) of one flip pulse."""
+        space = self.space
+        x = space.atom_levels(site, atom)
+        da = space.stride(site, atom)
+        partner = np.arange(space.dim, dtype=np.int64)
+        partner[x == 1] -= da
+        partner[x == 0] += da
+        n0x = space.zero_level_count(site, exclude_atom=atom)
         angle = self.params.rabi_raman * t if intent_angle is None else intent_angle
         fac = np.exp(1j * self.params.detuning_offset * (n0x + 1) * t)
-        cosv = np.full(self.space.dim, math.cos(angle))
-        sinv = np.full(self.space.dim, math.sin(angle))
-        return fac * (cosv * psi + 1j * sinv * psi[partner])
+        return fac * math.cos(angle), fac * (1j * math.sin(angle)), partner, np.flatnonzero(self.total_photons > 0)
 
     # -- photon bookkeeping ------------------------------------------------------------
 

@@ -91,8 +91,9 @@ def test_params_mhz_config(tmp_path, capsys):
     }))
     code = _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "converted to rad/us by 2*pi" in out
+    captured = capsys.readouterr()
+    assert "converted to rad/us by 2*pi" in captured.err
+    assert "converted to rad/us" not in captured.out
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["params_rad_per_us"]["rabi_strong"] == pytest.approx(TWO_PI * 10.0)
 

@@ -217,10 +217,11 @@ def test_csv_and_json_round_trip(tmp_path, small_ideal_result):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "index", "outcome", "repetitions", "silent_resets", "double_resets",
-        "fidelity", "branch", "leakage", "elapsed_us",
+        "fidelity", "branch", "leakage", "elapsed_us", "reason",
     ]
     assert len(rows) == 1 + len(res.summaries)
     assert rows[1][0] == "0"
+    assert [row[-1] for row in rows[1:]] == [s.reason for s in sorted(res.summaries, key=lambda s: s.index)]
 
     json_path = tmp_path / "summary.json"
     write_summary_json(json_path, res)
@@ -231,6 +232,28 @@ def test_csv_and_json_round_trip(tmp_path, small_ideal_result):
         reference_params().rabi_strong
     )
     assert payload == result_summary_dict(res)
+
+
+def test_csv_reports_abort_reasons(tmp_path):
+    # Successes carry no reason; an abort keeps its reason, commas included.
+    exhausted = TrajectorySummary(
+        index=1, outcome="exhausted_repetitions", repetitions=6, silent_resets=6, double_resets=0,
+        fidelity=math.nan, branch="", leakage=0.0, elapsed=1.0,
+        reason="no heralding click, within the repetition budget",
+    )
+    csv_path = tmp_path / "results.csv"
+    write_summaries_csv(csv_path, [exhausted, _summary(0, "success_final_click", 0, 1.0)])
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["reason"] for r in rows] == ["", "no heralding click, within the repetition budget"]
+
+
+def test_run_ensemble_records_abort_reasons():
+    # With no repetition allowed, seed 4's only round fails to herald.
+    res = run_ensemble(EnsembleConfig(backend="ideal", trajectories=1, seed=4, max_repetitions=0,
+                                      amp_in=(1.0, 0.0)))
+    assert res.summaries[0].outcome == "exhausted_repetitions"
+    assert res.summaries[0].reason == "no heralding click within the repetition budget"
 
 
 def test_figure_csvs(tmp_path, small_ideal_result):

@@ -1,0 +1,199 @@
+"""Property tests for the survival root-finder and the memoised pulse maps.
+
+``survival_solve`` is fed survival sums grouped by rate (what its callers
+pass) and the same sums spread over many basis states. The closed-form
+maps are checked against a fresh engine after the memo has been filled by
+earlier, different calls.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from cavtel.dynamics import DiagonalPropagator, survival_solve
+from cavtel.params import reference_params
+from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
+from cavtel.spaces import Register, SiteShape, normalized
+
+EPS = np.finfo(float).eps
+
+# Derandomized, so a tier-1 run sees the same examples every time.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _survival(weights, rates, t):
+    return float(np.sum(np.asarray(weights) * np.exp(-np.asarray(rates) * t)))
+
+
+def _slope(weights, rates, t):
+    return float(np.sum(np.asarray(weights) * np.asarray(rates) * np.exp(-np.asarray(rates) * t)))
+
+
+@st.composite
+def survival_problems(draw):
+    """Grouped (weights, rates), the same sum split over basis states, u, t_max."""
+    n_groups = draw(st.integers(1, 6))
+    rates = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=n_groups, max_size=n_groups, unique=True)))
+    parts = [draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5)) for _ in rates]
+    flat_w = np.array([w for group in parts for w in group])
+    flat_r = np.array([r for r, group in zip(rates, parts) for _ in group])
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(flat_w))
+    flat_w, flat_r = flat_w[order], flat_r[order]
+    total = float(flat_w.sum())
+    flat_w = flat_w / total
+    groups = np.searchsorted(rates, flat_r)
+    grouped_w = np.bincount(groups, weights=flat_w, minlength=len(rates))
+    u = draw(st.floats(0.01, 0.99))
+    t_max = draw(st.floats(0.1, 1e3))
+    return grouped_w, np.array(rates), flat_w, flat_r, u, t_max
+
+
+@PROPERTY
+@given(survival_problems())
+def test_grouped_and_ungrouped_roots_agree(problem):
+    grouped_w, rates, flat_w, flat_r, u, t_max = problem
+    t_grouped = survival_solve(grouped_w, rates, u, t_max)
+    t_flat = survival_solve(flat_w, flat_r, u, t_max)
+    assert (t_grouped < 0.0) == (t_flat < 0.0)
+    if t_grouped < 0.0:
+        assert t_grouped == t_flat == -1.0
+        return
+    # Bisection resolution, plus the band in which the two sums' rounding
+    # can disagree about which side of u a midpoint lies on.
+    band = 64 * EPS / max(_slope(grouped_w, rates, t_grouped), 1e-300)
+    assert abs(t_grouped - t_flat) <= 1e-12 * t_max + band
+
+
+@PROPERTY
+@given(survival_problems())
+def test_minus_one_iff_survival_at_t_max_exceeds_u(problem):
+    grouped_w, rates, _, _, u, t_max = problem
+    s_end = _survival(grouped_w, rates, t_max)
+    assume(abs(s_end - u) > 1e-12)
+    t = survival_solve(grouped_w, rates, u, t_max)
+    assert (t == -1.0) == (s_end > u)
+    if t != -1.0:
+        assert 0.0 < t <= t_max
+
+
+@PROPERTY
+@given(survival_problems())
+def test_returned_time_brackets_the_root(problem):
+    grouped_w, rates, _, _, u, t_max = problem
+    t = survival_solve(grouped_w, rates, u, t_max)
+    assume(t >= 0.0)
+    step = 1e-12 * t_max
+    slack = 16 * EPS
+    assert _survival(grouped_w, rates, max(t - step, 0.0)) >= u - slack
+    assert _survival(grouped_w, rates, min(t + step, t_max)) <= u + slack
+
+
+@PROPERTY
+@given(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=6, max_size=6),
+       st.floats(0.01, 0.99), st.floats(1e-3, 1e4))
+def test_diagonal_survival_time_matches_ungrouped_solve(amps, u, t_max):
+    # Six states on three distinct decay rates, one of them zero.
+    diag = -1j * np.array([0.0, 0.5, 0.5, 2.0, 0.0, 2.0])
+    psi = np.array(amps, dtype=complex)
+    assume(np.vdot(psi, psi).real > 1e-6)
+    psi = normalized(psi)
+    prop = DiagonalPropagator(diag)
+    weights, rates = np.abs(psi) ** 2, 2.0 * prop.decay_rate
+    assume(abs(_survival(weights, rates, t_max) - u) > 1e-12)
+    t = prop.survival_time(psi, u, t_max)
+    t_flat = survival_solve(weights, rates, u, t_max)
+    if t < 0.0:
+        assert t == t_flat == -1.0
+        return
+    band = 64 * EPS / max(_slope(weights, rates, t), 1e-300)
+    assert abs(t - t_flat) <= 1e-12 * t_max + band
+
+
+# -- memoised closed-form maps ------------------------------------------------------
+
+SPACE = Register([SiteShape(2, 2, 3), SiteShape(1, 2, 2)])
+PARAMS = reference_params()
+# A few repeated durations, so the memo is hit as well as filled.
+DURATIONS = st.one_of(st.sampled_from([0.0, 1.0, 17.5, 250.0]), st.floats(0.0, 500.0))
+INTENTS = st.sampled_from([None, *PULSE_INTENT.values()])
+
+
+def _safe_state(rng, site, atom):
+    """Random state with no amplitude where an exchange pulse would cross the cutoff."""
+    psi = rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim)
+    top = (SPACE.atom_levels(site, atom) == 1) & (SPACE.photon_numbers(site) == SPACE.sites[site].cutoff)
+    psi[top] = 0.0
+    return normalized(psi)
+
+
+@pytest.fixture(scope="module")
+def shared_engine():
+    return AnalyticEngine(SPACE, PARAMS)
+
+
+@PROPERTY
+@given(st.integers(0, 1), st.integers(0, 1), DURATIONS, INTENTS, st.integers(0, 2**32 - 1))
+def test_memoised_exchange_pulse_matches_fresh_engine(shared_engine, site, atom, t, intent, seed):
+    atom = min(atom, SPACE.sites[site].atoms - 1)
+    psi = _safe_state(np.random.default_rng(seed), site, atom)
+    first = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent=intent)
+    again = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent=intent)
+    fresh = AnalyticEngine(SPACE, PARAMS).apply_exchange_pulse(psi, site, atom, t, intent=intent)
+    assert np.array_equal(first, fresh)
+    assert np.array_equal(again, fresh)
+
+
+@PROPERTY
+@given(st.integers(0, 1), st.integers(0, 1), DURATIONS, st.sampled_from([None, 0.3, np.pi / 2]),
+       st.integers(0, 2**32 - 1))
+def test_memoised_flip_pulse_matches_fresh_engine(shared_engine, site, atom, t, angle, seed):
+    atom = min(atom, SPACE.sites[site].atoms - 1)
+    rng = np.random.default_rng(seed)
+    psi = np.where(SPACE.photon_numbers(0) + SPACE.photon_numbers(1) == 0,
+                   rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim), 0.0)
+    psi = normalized(psi)
+    first = shared_engine.apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
+    again = shared_engine.apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
+    fresh = AnalyticEngine(SPACE, PARAMS).apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
+    assert np.array_equal(first, fresh)
+    assert np.array_equal(again, fresh)
+    photon = psi.copy()
+    photon[np.flatnonzero(SPACE.photon_numbers(site) > 0)[0]] = 1e-6
+    with pytest.raises(PulseTruncationError):
+        shared_engine.apply_flip_pulse(photon, site, atom, t, intent_angle=angle)
+
+
+@PROPERTY
+@given(DURATIONS, st.sampled_from([None, [0], [1], [0, 1]]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_memoised_wait_matches_fresh_engine(shared_engine, t, sites, photon_shift, decay, seed):
+    rng = np.random.default_rng(seed)
+    psi = normalized(rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim))
+    got = shared_engine.apply_wait(psi, t, sites=sites, photon_shift=photon_shift, decay=decay)
+    fresh = AnalyticEngine(SPACE, PARAMS).apply_wait(psi, t, sites=sites, photon_shift=photon_shift,
+                                                      decay=decay)
+    assert np.array_equal(got, fresh)
+    phase, dec = shared_engine.wait_exponents(sites, photon_shift, decay)
+    assert np.allclose(got, psi * np.exp((1j * phase - dec) * t), rtol=1e-13, atol=0.0)
+
+
+@PROPERTY
+@given(st.integers(0, 1), DURATIONS, INTENTS, st.floats(2e-12, 1.0))
+def test_cached_exchange_pulse_still_flags_cutoff(shared_engine, site, t, intent, top_amp):
+    safe = _safe_state(np.random.default_rng(0), site, 0)
+    shared_engine.apply_exchange_pulse(safe, site, 0, t, intent=intent)
+    cutoff = SPACE.sites[site].cutoff
+    top = np.flatnonzero((SPACE.atom_levels(site, 0) == 1) & (SPACE.photon_numbers(site) == cutoff))
+    hit = safe.copy()
+    hit[top[0]] = top_amp
+    with pytest.raises(PulseTruncationError):
+        shared_engine.apply_exchange_pulse(hit, site, 0, t, intent=intent)
+
+
+def test_memo_stays_bounded(shared_engine):
+    psi = _safe_state(np.random.default_rng(1), 0, 0)
+    for k in range(3 * AnalyticEngine.MEMO_LIMIT):
+        shared_engine.apply_exchange_pulse(psi, 0, 0, 1.0 + k)
+    assert len(shared_engine._pulse_maps) <= AnalyticEngine.MEMO_LIMIT

@@ -1,6 +1,7 @@
 """Protocol driver, phase bookkeeping, and backend behavior."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -205,6 +206,45 @@ def test_ideal_detect_window_counts_photons(ideal):
 
     quiet, clicks, _ = ideal.detect_window(ideal.space.ket("0000;110"), np.random.default_rng(0))
     assert clicks == []
+
+
+class _QueuedRng:
+    """Stands in for a Generator: ``random()`` returns the queued draws in order."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self):
+        return self._draws.pop(0)
+
+
+def test_ideal_detect_window_threshold_at_the_no_click_weight(ideal):
+    space, kappa = ideal.space, ideal.params.cavity_decay
+    psi = normalized(space.ket("0000;110") + space.ket("0001;110"))
+    still = float(np.abs(psi[space.index(space.parse("0000;110"))]) ** 2)
+
+    # u equal to the zero-photon weight is the no-click branch, never a
+    # search for a click that cannot happen.
+    out, clicks, elapsed = ideal.detect_window(psi, _QueuedRng(still))
+    assert clicks == []
+    assert elapsed == ideal.times.detect
+    assert norm2(ideal.engine.project_sector(out, 0)) == pytest.approx(1.0)
+
+    # One ulp above it the click comes late but at a finite, positive time:
+    # the one-photon term has decayed to the ulp.
+    u = float(np.nextafter(still, 1.0))
+    out, clicks, elapsed = ideal.detect_window(psi, _QueuedRng(u, 0.25, 0.5))
+    assert len(clicks) == 1
+    expected = math.log((1.0 - still) / (u - still)) / (2.0 * kappa)
+    assert clicks[0].time == pytest.approx(expected, rel=0.02)
+    assert elapsed == ideal.times.detect
+
+
+def test_ideal_first_click_time_raises_when_unbracketed(ideal):
+    # The survival never falls below its zero-photon weight.
+    weights = np.array([0.5, 0.5] + [0.0] * (len(ideal._sector_rates) - 2))
+    with pytest.raises(RuntimeError, match="never bracketed"):
+        ideal._first_click_time(weights, 0.25)
 
 
 def test_ideal_phase_wait_rotates_zero_levels(ideal):

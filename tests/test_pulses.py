@@ -66,8 +66,9 @@ def test_detect_window_tracks_lifetimes():
 
 def test_duration_lookup(ref_times):
     assert ref_times.duration("half_swap") == ref_times.half_swap
-    with pytest.raises(KeyError):
-        ref_times.duration("warp")
+    for not_a_pulse in ("warp", "detect", "swap_all_windings"):
+        with pytest.raises(KeyError):
+            ref_times.duration(not_a_pulse)
 
 
 def test_intent_table_angles():
