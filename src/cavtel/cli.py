@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .experiment import (
     EnsembleConfig,
@@ -39,14 +40,7 @@ CONFIG_KEYS = {
     "trace",
 }
 
-PARAM_KEYS = {
-    "laser_detuning",
-    "rabi_strong",
-    "rabi_weak",
-    "cavity_coupling",
-    "atom_decay",
-    "cavity_decay",
-}
+PARAM_KEYS = {f.name for f in fields(PhysicalParams)}
 
 BACKENDS = ("ideal", "effective", "full")
 

@@ -175,14 +175,19 @@ def survival_solve(weights, rates, u, t_max):
 
     if survival(t_max) > u:
         return -1.0
-    lo, hi = 0.0, t_max
+    return _bisect(survival, u, t_max, 1e-12 * t_max)
+
+
+def _bisect(survival, u, t_hi, tol):
+    """Midpoint of the bracket around survival(t) == u on (0, t_hi], once it is within tol."""
+    lo, hi = 0.0, t_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if survival(mid) > u:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * t_max:
+        if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
 
@@ -307,16 +312,7 @@ class JumpRun:
 
 
 def _bisect_jump_time(propagator, psi, threshold, t_hi):
-    lo, hi = 0.0, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm2(propagator.evolve(psi, mid)) > threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= JUMP_TIME_RTOL * t_hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: norm2(propagator.evolve(psi, t)), threshold, t_hi, JUMP_TIME_RTOL * t_hi)
 
 
 def evolve_with_jumps(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -247,7 +247,6 @@ def write_summaries_csv(path, summaries):
 
 
 def result_summary_dict(result: EnsembleResult) -> dict:
-    p = result.params
     return {
         "config": {
             "backend": result.config.backend,
@@ -257,14 +256,7 @@ def result_summary_dict(result: EnsembleResult) -> dict:
             "seed": result.config.seed,
             "detect_lifetimes": result.config.detect_lifetimes,
         },
-        "params_rad_per_us": {
-            "laser_detuning": p.laser_detuning,
-            "rabi_strong": p.rabi_strong,
-            "rabi_weak": p.rabi_weak,
-            "cavity_coupling": p.cavity_coupling,
-            "atom_decay": p.atom_decay,
-            "cavity_decay": p.cavity_decay,
-        },
+        "params_rad_per_us": asdict(result.params),
         "stats": result.stats,
     }
 

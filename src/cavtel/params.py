@@ -149,9 +149,6 @@ class PhysicalParams:
             ),
         )
 
-    def is_valid(self) -> bool:
-        return all(row.ok for row in self.validity())
-
 
 def reference_params() -> PhysicalParams:
     """Headline parameter set: a realistic high-finesse cavity."""

@@ -74,17 +74,25 @@ class SparseOp:
         )
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        return SparseOp.from_dense(self.to_dense() @ other.to_dense())
+        """Sparse product: one term per (left entry, right entry) pair sharing
+        the inner index. Duplicate terms are kept; ``apply`` and ``to_dense``
+        sum them."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        order = np.argsort(other.rows, kind="stable")
+        inner = other.rows[order]
+        first = np.searchsorted(inner, self.cols, side="left")
+        counts = np.searchsorted(inner, self.cols, side="right") - first
+        left = np.repeat(np.arange(self.cols.size), counts)
+        # Position of each term inside its left entry's run of matching right rows.
+        within = np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        right = order[first[left] + within]
+        return SparseOp(self.dim, self.rows[left], other.cols[right], self.vals[left] * other.vals[right])
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
         np.add.at(mat, (self.rows, self.cols), self.vals)
         return mat
-
-    @classmethod
-    def from_dense(cls, mat, tol=0.0):
-        rows, cols = np.nonzero(np.abs(mat) > tol)
-        return cls(mat.shape[0], rows, cols, mat[rows, cols])
 
 
 class Register:
@@ -159,9 +167,6 @@ class Register:
         if len(parts) != len(self.sites):
             raise ValueError("label has wrong number of sites")
         return tuple(tuple(int(c) for c in p) for p in parts)
-
-    def format(self, label) -> str:
-        return ";".join("".join(str(d) for d in part) for part in label)
 
     def ket(self, label) -> np.ndarray:
         if isinstance(label, str):

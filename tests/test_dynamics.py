@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from cavtel.dynamics import (
+    JUMP_TIME_RTOL,
     DiagonalPropagator,
     EigPropagator,
     ExpmPropagator,
     PropagatorCache,
     Segment,
+    _bisect_jump_time,
     decay_balance_defect,
     detector_channels,
     effective_hamiltonian,
@@ -20,6 +22,7 @@ from cavtel.dynamics import (
     normalize_lasers,
 )
 from cavtel.params import reference_params
+from cavtel.protocol import protocol_space
 from cavtel.spaces import Register, SiteShape, SparseOp, norm2, normalized
 
 
@@ -82,6 +85,16 @@ def test_full_hamiltonian_elements_and_level_guard(params):
     assert h[i2, i0] == pytest.approx(p.rabi_weak)
 
 
+def test_hamiltonians_build_without_dense_matrices(params, monkeypatch):
+    def no_dense(op):
+        raise AssertionError("dense matrix built during Hamiltonian construction")
+
+    monkeypatch.setattr(SparseOp, "to_dense", no_dense)
+    lasers = [(0, 0, True, True), (1, 1, True, True)]
+    assert effective_hamiltonian(protocol_space(cutoff=4), params, lasers).dim == 800
+    assert full_hamiltonian(protocol_space(levels=3, cutoff=3), params, lasers).dim == 3888
+
+
 def test_decay_balance_effective(params):
     space = Register([SiteShape(1, 2, 2), SiteShape(1, 2, 2)])
     h = effective_hamiltonian(space, params, [(0, 0, True, False)])
@@ -141,11 +154,11 @@ def test_detector_channels_port_combinations(params):
 
 
 def test_make_propagator_picks_structure():
-    diag = SparseOp.from_dense(np.diag([1.0, 2.0]).astype(complex))
+    diag = SparseOp(2, [0, 1], [0, 1], [1.0, 2.0])
     assert isinstance(make_propagator(diag), DiagonalPropagator)
-    herm = SparseOp.from_dense(np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex))
+    herm = SparseOp(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.3, 0.3, -1.0])
     assert isinstance(make_propagator(herm), EigPropagator)
-    jordan = SparseOp.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    jordan = SparseOp(2, [0], [1], [1.0])
     assert isinstance(make_propagator(jordan), ExpmPropagator)
 
 
@@ -212,6 +225,13 @@ def test_jump_time_matches_exponential_law(params):
     assert run.clicks[0].kind == "detector"
     # The photon is gone afterwards; the state sits in the vacuum.
     assert abs(run.psi[space.index(space.parse("00"))]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_bisect_jump_time_stops_at_its_tolerance():
+    # One decay rate: the no-jump norm is exp(-2*gamma*t), so the root is closed form.
+    gamma, u, t_hi = 0.3, 0.25, 40.0
+    t = _bisect_jump_time(DiagonalPropagator([-1j * gamma]), np.array([1.0 + 0j]), u, t_hi)
+    assert abs(t - np.log(1.0 / u) / (2 * gamma)) <= JUMP_TIME_RTOL * t_hi
 
 
 def test_jump_walk_is_deterministic_per_seed(params):

@@ -45,7 +45,8 @@ def test_coo_apply_accumulates_into_out():
     # A sum of operators concatenates entries; apply accumulates both parts.
     rng = _rng()
     rows, cols, vals, psi = _random_coo(rng, dim=12, nnz=30)
-    seed = SparseOp.from_dense(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+    full_rows, full_cols = np.divmod(np.arange(144), 12)
+    seed = SparseOp(12, full_rows, full_cols, rng.normal(size=144) + 1j * rng.normal(size=144))
     out = (seed + SparseOp(12, rows, cols, vals)).apply(psi)
     assert np.allclose(out, seed.to_dense() @ psi + _dense(12, rows, cols, vals) @ psi, atol=1e-12)
 

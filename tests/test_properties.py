@@ -1,9 +1,11 @@
-"""Property tests for the survival root-finder and the memoised pulse maps.
+"""Property tests for the survival root-finder, the memoised pulse maps and
+the sparse operator product.
 
 ``survival_solve`` is fed survival sums grouped by rate (what its callers
 pass) and the same sums spread over many basis states. The closed-form
 maps are checked against a fresh engine after the memo has been filled by
-earlier, different calls.
+earlier, different calls. ``SparseOp.__matmul__`` is checked against the
+dense product on small random operators.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from cavtel.dynamics import DiagonalPropagator, survival_solve
 from cavtel.params import reference_params
 from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
-from cavtel.spaces import Register, SiteShape, normalized
+from cavtel.spaces import Register, SiteShape, SparseOp, normalized
 
 EPS = np.finfo(float).eps
 
@@ -197,3 +199,29 @@ def test_memo_stays_bounded(shared_engine):
     for k in range(3 * AnalyticEngine.MEMO_LIMIT):
         shared_engine.apply_exchange_pulse(psi, 0, 0, 1.0 + k)
     assert len(shared_engine._pulse_maps) <= AnalyticEngine.MEMO_LIMIT
+
+
+# -- sparse operator product ----------------------------------------------------------
+
+
+@st.composite
+def coo_pairs(draw):
+    """Two operators on one small space; empty ones and repeated entries are common."""
+    dim = draw(st.integers(1, 6))
+
+    def operator():
+        nnz = draw(st.integers(0, 15))
+        index = st.lists(st.integers(0, dim - 1), min_size=nnz, max_size=nnz)
+        vals = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=nnz, max_size=nnz)
+        return SparseOp(dim, draw(index), draw(index), draw(vals))
+
+    return operator(), operator()
+
+
+@PROPERTY
+@given(coo_pairs())
+def test_sparse_product_matches_dense_product(pair):
+    a, b = pair
+    product = a @ b
+    assert product.dim == a.dim
+    assert np.max(np.abs(product.to_dense() - a.to_dense() @ b.to_dense()), initial=0.0) <= 1e-12

@@ -38,7 +38,6 @@ def test_label_index_round_trip(qubit_register):
     for idx in range(0, reg.dim, 37):
         assert reg.index(reg.label(idx)) == idx
     assert reg.parse("1010;110") == ((1, 0, 1, 0), (1, 1, 0))
-    assert reg.format(reg.parse("1010;110")) == "1010;110"
     assert reg.index(reg.parse("0000;000")) == 0
 
 
@@ -127,14 +126,18 @@ def test_site_ket_digit_range(small):
 
 def test_sparse_op_algebra():
     rng = np.random.default_rng(7)
-    a = SparseOp.from_dense(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    b = SparseOp.from_dense(rng.normal(size=(6, 6)))
+    # Explicit triplets with repeated (row, col) entries.
+    a = SparseOp(6, rng.integers(0, 6, 30), rng.integers(0, 6, 30),
+                 rng.normal(size=30) + 1j * rng.normal(size=30))
+    b = SparseOp(6, rng.integers(0, 6, 30), rng.integers(0, 6, 30), rng.normal(size=30))
     assert np.allclose((a + b).to_dense(), a.to_dense() + b.to_dense())
     assert np.allclose(a.scaled(2j).to_dense(), 2j * a.to_dense())
     assert np.allclose(a.dagger().to_dense(), a.to_dense().conj().T)
     assert np.allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense())
     with pytest.raises(ValueError):
         a + SparseOp(5, [], [], [])
+    with pytest.raises(ValueError):
+        a @ SparseOp(5, [], [], [])
 
 
 def test_norm_helpers():

@@ -1,0 +1,23 @@
+"""The benchmark's traced run wraps cavtel functions by name.
+
+``perfbench/tracing.py`` lists every function and method it times. A name
+that no longer resolves turns its per-layer metrics absent, so a rename in
+``cavtel`` has to show here, not only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_trace_target_resolves():
+    if not TRACING.exists():
+        pytest.skip("perfbench/tracing.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer().installed() as tracer:
+        assert tracer.absent == []
