@@ -25,7 +25,7 @@ from .dynamics import PropagatorCache, decay_balance_defect, detector_channels, 
 from .dynamics import effective_hamiltonian, full_hamiltonian
 from .params import PhysicalParams, reference_params
 from .protocol import SUCCESS_OUTCOMES, make_backend, run_protocol
-from .pulses import AnalyticEngine, PulseTimes, solve_pulse_times
+from .pulses import PULSE_LASERS, AnalyticEngine, PulseTimes, solve_pulse_times
 from .spaces import Register, SiteShape, normalized
 
 MODULUS_TOL = 2e-2
@@ -113,11 +113,10 @@ def pulse_agreement_report(params: PhysicalParams, times: PulseTimes | None = No
             analytic = engine.apply_wait(psi0, duration)
         else:
             atom, kind = drive
+            lasers = ((0, atom, *PULSE_LASERS[kind]),)
             if kind == "flip":
-                lasers = ((0, atom, True, True),)
                 analytic = engine.apply_flip_pulse(psi0, 0, atom, duration)
             else:
-                lasers = ((0, atom, True, False),)
                 analytic = engine.apply_exchange_pulse(psi0, 0, atom, duration)
         numeric = cache.get(lasers).evolve(psi0, duration)
         mod_err, phase_err = compare_states(numeric, analytic)

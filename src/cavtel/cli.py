@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 
 from .experiment import (
+    RUN_SETTINGS,
     EnsembleConfig,
     run_ensemble,
     write_figure_csvs,
@@ -20,29 +21,16 @@ from .experiment import (
     write_summary_json,
 )
 from .params import PROFILES, PhysicalParams
+from .protocol import BACKENDS
 
 
 class ConfigError(Exception):
     pass
 
 
-CONFIG_KEYS = {
-    "profile",
-    "backend",
-    "trajectories",
-    "seed",
-    "max_repetitions",
-    "detect_lifetimes",
-    "input",
-    "params_mhz",
-    "atom_decay_convention",
-    "output_dir",
-    "trace",
-}
+CONFIG_KEYS = {*RUN_SETTINGS, "input", "params_mhz", "atom_decay_convention", "output_dir", "trace"}
 
 PARAM_KEYS = {f.name for f in fields(PhysicalParams)}
-
-BACKENDS = ("ideal", "effective", "full")
 
 
 def _load_config_file(path) -> dict:
@@ -61,12 +49,19 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _convert(kind, key, raw):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: {raw!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_input(raw):
     if raw is None:
         return None
     if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 4):
         raise ConfigError("input must be [re_a, im_a, re_b, im_b] or [a, b]")
-    vals = [float(v) for v in raw]
+    vals = [_convert(float, "input", v) for v in raw]
     if len(vals) == 2:
         return complex(vals[0]), complex(vals[1])
     return complex(vals[0], vals[1]), complex(vals[2], vals[3])
@@ -88,67 +83,42 @@ def _build_params(data) -> PhysicalParams | None:
     print("note: params_mhz values are plain frequencies in MHz, converted to rad/us by 2*pi", file=sys.stderr)
     try:
         return PhysicalParams.from_mhz(
-            atom_decay_convention=convention, **{k: float(raw[k]) for k in PARAM_KEYS}
+            atom_decay_convention=convention, **{k: _convert(float, k, raw[k]) for k in PARAM_KEYS}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve(args) -> tuple[EnsembleConfig, dict]:
+def _resolve(args) -> tuple[EnsembleConfig, str, str | None]:
+    """The config file merged with the flags: (config, output directory, trace path)."""
     data = _load_config_file(args.config) if args.config else {}
-    for key in ("profile", "backend", "trajectories", "seed", "max_repetitions",
-                "detect_lifetimes", "output_dir", "trace"):
+    for key in (*RUN_SETTINGS, "output_dir", "trace"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    backend = data.get("backend", "ideal")
-    if backend not in BACKENDS:
-        raise ConfigError(f"backend must be one of {', '.join(BACKENDS)}")
-    profile = data.get("profile", "reference")
-    params = _build_params(data)
-    if params is None and profile not in PROFILES:
-        raise ConfigError(f"profile must be one of {', '.join(sorted(PROFILES))}")
-    trajectories = int(data.get("trajectories", 100))
-    if trajectories < 1:
-        raise ConfigError("trajectories must be positive")
-    max_repetitions = int(data.get("max_repetitions", 6))
-    if max_repetitions < 0:
-        raise ConfigError("max_repetitions must be >= 0")
-    detect_lifetimes = float(data.get("detect_lifetimes", 10.0))
-    if detect_lifetimes <= 0:
-        raise ConfigError("detect_lifetimes must be positive")
-    config = EnsembleConfig(
-        backend=backend,
-        profile=profile,
-        trajectories=trajectories,
-        max_repetitions=max_repetitions,
-        seed=int(data.get("seed", 20240816)),
-        detect_lifetimes=detect_lifetimes,
-        amp_in=_parse_input(data.get("input")),
-        params=params,
-    )
-    extras = {
-        "output_dir": data.get("output_dir", "."),
-        "trace": data.get("trace"),
-    }
-    return config, extras
+    # Only the settings given reach EnsembleConfig, as the type of their default.
+    given = {key: _convert(type(getattr(EnsembleConfig, key)), key, data[key])
+             for key in RUN_SETTINGS if key in data}
+    try:
+        config = EnsembleConfig(**given, amp_in=_parse_input(data.get("input")), params=_build_params(data))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config, data.get("output_dir", "."), data.get("trace")
 
 
-def _run_with_optional_trace(config, trace_path):
+def _run(args):
+    """Resolve the settings, make the output directory and run the ensemble."""
+    config, outdir, trace_path = _resolve(args)
+    os.makedirs(outdir, exist_ok=True)
     if not trace_path:
-        return run_ensemble(config)
+        return run_ensemble(config), outdir, trace_path
     with open(trace_path, "w") as fh:
-        def sink(event):
-            fh.write(json.dumps(event) + "\n")
-
-        return run_ensemble(config, trace=sink)
+        return run_ensemble(config, trace=lambda event: fh.write(json.dumps(event) + "\n")), outdir, trace_path
 
 
 def cmd_run(args) -> int:
-    config, extras = _resolve(args)
-    outdir = extras["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    result = _run_with_optional_trace(config, extras["trace"])
+    result, outdir, trace_path = _run(args)
+    config = result.config
     write_summaries_csv(os.path.join(outdir, "results.csv"), result.summaries)
     write_summary_json(os.path.join(outdir, "summary.json"), result)
     stats = result.stats
@@ -160,17 +130,15 @@ def cmd_run(args) -> int:
     fid = stats["overall_success_fidelity"]
     print(f"mean success fidelity: {fid:.6f}" if fid == fid else "mean success fidelity: n/a")
     print(f"wrote {outdir}/results.csv, {outdir}/summary.json"
-          + (f", {extras['trace']}" if extras["trace"] else ""))
+          + (f", {trace_path}" if trace_path else ""))
     return 0
 
 
 def cmd_check(args) -> int:
     from .checks import run_all_checks
 
-    profile = args.profile or "reference"
-    if profile not in PROFILES:
-        raise ConfigError(f"profile must be one of {', '.join(sorted(PROFILES))}")
-    outcomes = run_all_checks(PROFILES[profile]())
+    # argparse has checked the choice.
+    outcomes = run_all_checks(PROFILES[args.profile or EnsembleConfig.profile]())
     hard_fail = False
     warned = False
     for oc in outcomes:
@@ -189,10 +157,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    config, extras = _resolve(args)
-    outdir = extras["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    result = _run_with_optional_trace(config, extras["trace"])
+    result, outdir, _ = _run(args)
     write_figure_csvs(outdir, result.stats)
     print(f"wrote {outdir}/fig3.csv, {outdir}/fig4.csv, {outdir}/fig5.csv")
     return 0

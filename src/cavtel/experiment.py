@@ -12,18 +12,20 @@ successes, so the two arrays trace the insurance trade-off curve.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Number, Real
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .dynamics import Segment, evolve_with_jumps, make_propagator
 from .params import TWO_PI, PROFILES, PhysicalParams
-from .protocol import SUCCESS_OUTCOMES, ProtocolRecord, make_backend, run_protocol
-from .pulses import solve_pulse_times
+from .protocol import BACKENDS, SUCCESS_OUTCOMES, ProtocolRecord, make_backend, run_protocol
+from .pulses import DETECT_LIFETIMES, solve_pulse_times
 from .spaces import Register, SparseOp, normalized
 
 
@@ -62,21 +64,47 @@ class TrajectorySummary:
 
 @dataclass
 class EnsembleConfig:
+    """One ensemble's run settings: the one place they are named, defaulted and checked.
+
+    ``__post_init__`` makes plain comparisons only, so building or
+    ``dataclasses.replace``-ing a config stays cheap.
+    """
+
     backend: str = "ideal"
     profile: str = "reference"
     trajectories: int = 100
     max_repetitions: int = 6
     seed: int = 20240816
-    detect_lifetimes: float = 10.0
+    detect_lifetimes: float = DETECT_LIFETIMES
     amp_in: tuple[complex, complex] | None = None
     params: PhysicalParams | None = None
 
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {', '.join(BACKENDS)}")
+        if self.params is None and self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {', '.join(sorted(PROFILES))}")
+        if not (isinstance(self.trajectories, Integral) and self.trajectories >= 1):
+            raise ValueError("trajectories must be a positive integer")
+        if not (isinstance(self.max_repetitions, Integral) and self.max_repetitions >= 0):
+            raise ValueError("max_repetitions must be an integer >= 0")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
+        if not (isinstance(self.detect_lifetimes, Real) and 0.0 < self.detect_lifetimes < math.inf):
+            raise ValueError("detect_lifetimes must be finite and positive")
+        amps = self.amp_in
+        if amps is not None and not (
+            isinstance(amps, (tuple, list)) and len(amps) == 2
+            and all(isinstance(v, Number) and cmath.isfinite(v) for v in amps) and any(amps)
+        ):
+            raise ValueError("input amplitudes (amp_in) must be two finite numbers, not both zero")
+
     def resolve_params(self) -> PhysicalParams:
-        if self.params is not None:
-            return self.params
-        if self.profile not in PROFILES:
-            raise ValueError(f"unknown profile: {self.profile!r}")
-        return PROFILES[self.profile]()
+        return self.params if self.params is not None else PROFILES[self.profile]()
+
+
+# The settings a run records in summary.json, in field order.
+RUN_SETTINGS = tuple(f.name for f in fields(EnsembleConfig) if f.name not in ("amp_in", "params"))
 
 
 @dataclass
@@ -248,14 +276,7 @@ def write_summaries_csv(path, summaries):
 
 def result_summary_dict(result: EnsembleResult) -> dict:
     return {
-        "config": {
-            "backend": result.config.backend,
-            "profile": result.config.profile,
-            "trajectories": result.config.trajectories,
-            "max_repetitions": result.config.max_repetitions,
-            "seed": result.config.seed,
-            "detect_lifetimes": result.config.detect_lifetimes,
-        },
+        "config": {key: getattr(result.config, key) for key in RUN_SETTINGS},
         "params_rad_per_us": asdict(result.params),
         "stats": result.stats,
     }

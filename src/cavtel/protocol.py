@@ -41,7 +41,7 @@ from .dynamics import (
     survival_solve,
 )
 from .params import PhysicalParams
-from .pulses import FLIP_INTENT_ANGLE, PULSE_INTENT, AnalyticEngine, PulseTimes, solve_pulse_times
+from .pulses import FLIP_INTENT_ANGLE, PULSE_INTENT, PULSE_LASERS, AnalyticEngine, PulseTimes, solve_pulse_times
 from .spaces import Register, SiteShape, norm2, normalized
 
 # Outcome labels.
@@ -297,15 +297,6 @@ class IdealBackend:
         return 0.0
 
 
-_KIND_LASERS = {
-    "swap": (True, False),
-    "half_swap": (True, False),
-    "swap_all": (True, False),
-    "swap_double": (True, False),
-    "flip": (True, True),
-}
-
-
 class NumericBackend:
     """Monte Carlo wave functions under the reduced or three-level model."""
 
@@ -345,8 +336,7 @@ class NumericBackend:
             rows = []
             for site, atom, kind in drives:
                 if span - self.times.duration(kind) <= lo + tol:
-                    strong, weak = _KIND_LASERS[kind]
-                    rows.append((site, atom, strong, weak))
+                    rows.append((site, atom, *PULSE_LASERS[kind]))
             segments.append(Segment(hi - lo, self.cache.get(rows), stage))
         return segments, span
 
@@ -389,6 +379,9 @@ class NumericBackend:
                     space.atom_levels(site, atom) == 1
                 )
         return float(np.sum(np.abs(psi[mask]) ** 2))
+
+
+BACKENDS = ("ideal", "effective", "full")
 
 
 def make_backend(kind, params, times=None):

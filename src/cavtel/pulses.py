@@ -25,7 +25,21 @@ from .spaces import Register
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
 
-PULSE_KINDS = frozenset({"swap", "half_swap", "swap_all", "swap_double", "flip"})
+# Lasers on during each pulse kind, as (strong, weak) on the driven atom.
+PULSE_LASERS = {
+    "swap": (True, False),
+    "half_swap": (True, False),
+    "swap_all": (True, False),
+    "swap_double": (True, False),
+    "flip": (True, True),
+}
+PULSE_KINDS = PULSE_LASERS.keys()
+
+# Longest winding count the duration search tries per pulse.
+MAX_WINDING = 20
+
+# Detection window length in cavity lifetimes, unless a run sets its own.
+DETECT_LIFETIMES = 10.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +79,7 @@ PULSE_INTENT = {
 FLIP_INTENT_ANGLE = HALF_PI
 
 
-def _best_winding(single_target, max_winding, start=0):
+def _best_winding(single_target, start=0):
     """Pick the winding count whose double-sector angle lands nearest pi/2.
 
     ``single_target`` is the single-sector angle modulo 2*pi (pi/2 or 0).
@@ -73,7 +87,7 @@ def _best_winding(single_target, max_winding, start=0):
     radians: sqrt(2)*(single_target + 2*pi*n) - (pi/2 + 2*pi*m).
     """
     best = None
-    for n in range(start, max_winding + 1):
+    for n in range(start, MAX_WINDING + 1):
         angle = single_target + TWO_PI * n
         double = math.sqrt(2.0) * angle
         m = round((double - HALF_PI) / TWO_PI)
@@ -85,10 +99,10 @@ def _best_winding(single_target, max_winding, start=0):
     return best
 
 
-def solve_pulse_times(params: PhysicalParams, max_winding=20, detect_lifetimes=10.0) -> PulseTimes:
+def solve_pulse_times(params: PhysicalParams, detect_lifetimes=DETECT_LIFETIMES) -> PulseTimes:
     rate = params.rabi_exchange
-    n_all, m_all, res_all = _best_winding(HALF_PI, max_winding, start=0)
-    n_dbl, m_dbl, res_dbl = _best_winding(0.0, max_winding, start=1)
+    n_all, m_all, res_all = _best_winding(HALF_PI, start=0)
+    n_dbl, m_dbl, res_dbl = _best_winding(0.0, start=1)
     return PulseTimes(
         swap=HALF_PI / rate,
         swap_all=(HALF_PI + TWO_PI * n_all) / rate,

@@ -112,6 +112,13 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"params_mhz": {**REFERENCE_MHZ, "laser_detuning": 0.0}}, "laser_detuning"),
         ({"params_mhz": {**REFERENCE_MHZ, "cavity_decay": -1e-7}}, "cavity_decay"),
         ({"params_mhz": {**REFERENCE_MHZ, "rabi_strong": float("nan")}}, "rabi_strong"),
+        ({"detect_lifetimes": "nan"}, "detect_lifetimes"),
+        ({"detect_lifetimes": "inf"}, "detect_lifetimes"),
+        ({"trajectories": "abc"}, "trajectories"),
+        ({"seed": -1}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"input": [0, 0]}, "input"),
+        ({"input": ["a", 1]}, "input"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):

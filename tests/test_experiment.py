@@ -58,8 +58,34 @@ def test_resolve_params_profiles_and_override():
     assert EnsembleConfig(profile="desk").resolve_params() == desk_params()
     custom = desk_params()
     assert EnsembleConfig(profile="reference", params=custom).resolve_params() is custom
+    assert EnsembleConfig(profile="bench", params=custom).resolve_params() is custom
     with pytest.raises(ValueError):
         EnsembleConfig(profile="bench").resolve_params()
+
+
+@pytest.mark.parametrize(
+    "settings,key",
+    [
+        ({"backend": "quantum"}, "backend"),
+        ({"profile": "lab"}, "profile"),
+        ({"trajectories": 0}, "trajectories"),
+        ({"trajectories": 2.5}, "trajectories"),
+        ({"max_repetitions": -1}, "max_repetitions"),
+        ({"seed": -1}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"detect_lifetimes": 0.0}, "detect_lifetimes"),
+        ({"detect_lifetimes": math.nan}, "detect_lifetimes"),
+        ({"detect_lifetimes": math.inf}, "detect_lifetimes"),
+        ({"detect_lifetimes": "10"}, "detect_lifetimes"),
+        ({"amp_in": (0, 0j)}, "amp_in"),
+        ({"amp_in": ("a", 1)}, "amp_in"),
+        ({"amp_in": (math.nan, 1.0)}, "amp_in"),
+        ({"amp_in": (1.0, 0.0, 0.0)}, "amp_in"),
+    ],
+)
+def test_ensemble_config_rejects_bad_settings(settings, key):
+    with pytest.raises(ValueError, match=key):
+        EnsembleConfig(**settings)
 
 
 @pytest.fixture(scope="module")
