@@ -46,6 +46,10 @@ def _load_config_file(path) -> dict:
     unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    # Paths: the flags are strings already, a file could hold any JSON value.
+    for key in ("output_dir", "trace"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"{key}: {data[key]!r} is not a string")
     return data
 
 

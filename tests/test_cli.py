@@ -119,6 +119,8 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"seed": None}, "seed"),
         ({"input": [0, 0]}, "input"),
         ({"input": ["a", 1]}, "input"),
+        ({"trace": 2}, "trace"),
+        ({"output_dir": 5}, "output_dir"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):

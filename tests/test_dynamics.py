@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from cavtel.dynamics import (
     JUMP_TIME_RTOL,
@@ -21,7 +23,7 @@ from cavtel.dynamics import (
     make_propagator,
     normalize_lasers,
 )
-from cavtel.params import reference_params
+from cavtel.params import desk_params, reference_params
 from cavtel.protocol import protocol_space
 from cavtel.spaces import Register, SiteShape, SparseOp, norm2, normalized
 
@@ -159,7 +161,26 @@ def test_make_propagator_picks_structure():
     herm = SparseOp(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.3, 0.3, -1.0])
     assert isinstance(make_propagator(herm), EigPropagator)
     jordan = SparseOp(2, [0], [1], [1.0])
-    assert isinstance(make_propagator(jordan), ExpmPropagator)
+    with pytest.warns(RuntimeWarning, match="2-state blocks"):
+        assert isinstance(make_propagator(jordan), ExpmPropagator)
+
+
+def test_make_propagator_never_densifies(monkeypatch):
+    # Two flips on the desk register: 800 states in 8 blocks of 100.
+    def no_dense(op):
+        raise AssertionError("dense matrix built for a propagator")
+
+    h = effective_hamiltonian(protocol_space(cutoff=4), desk_params(), [(0, 0, True, True), (1, 1, True, True)])
+    monkeypatch.setattr(SparseOp, "to_dense", no_dense)
+    prop = make_propagator(h)
+    assert isinstance(prop, EigPropagator)
+    [(start, stop, lam, _, _)] = prop.groups
+    assert (start, stop, lam.shape) == (0, 800, (8, 100))
+    psi = normalized(np.random.default_rng(3).normal(size=h.dim) + 0j)
+    t = 0.05
+    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    want = scipy.sparse.linalg.expm_multiply(-1j * t * m, psi)
+    assert np.max(np.abs(prop.evolve(psi, t) - want)) <= 1e-10
 
 
 def test_propagators_match_expm(params):

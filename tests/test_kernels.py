@@ -4,13 +4,13 @@ Each kernel is one numpy expression inside its caller: the coordinate-form
 apply in ``SparseOp.apply``, the phase-decay map in
 ``DiagonalPropagator.evolve``, the survival root-finder
 ``dynamics.survival_solve``, the pairwise rotation in the closed-form pulse
-maps, and the eigenbasis propagation in ``EigPropagator.evolve``.
+maps, and the per-block eigenbasis propagation in ``EigPropagator.evolve``.
 """
 
 import numpy as np
 import pytest
 
-from cavtel.dynamics import DiagonalPropagator, EigPropagator, survival_solve
+from cavtel.dynamics import DiagonalPropagator, EigPropagator, make_propagator, survival_solve
 from cavtel.params import reference_params
 from cavtel.pulses import AnalyticEngine
 from cavtel.spaces import Register, SiteShape, SparseOp
@@ -141,10 +141,11 @@ def test_eig_propagate_matches_expm():
     rng = _rng()
     n = 10
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    lam, v = np.linalg.eig(h)
-    w = np.linalg.inv(v)
+    rows, cols = np.indices((n, n))
+    prop = make_propagator(SparseOp(n, rows.ravel(), cols.ravel(), h.ravel()))
+    assert isinstance(prop, EigPropagator)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     t = 0.9
-    got = EigPropagator(lam, v, w).evolve(psi, t)
+    got = prop.evolve(psi, t)
     want = expm(-1j * h * t) @ psi
     assert np.allclose(got, want, atol=1e-9)

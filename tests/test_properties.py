@@ -1,19 +1,22 @@
-"""Property tests for the survival root-finder, the memoised pulse maps and
-the sparse operator product.
+"""Property tests for the survival root-finder, the memoised pulse maps, the
+sparse operator product and the block propagator.
 
 ``survival_solve`` is fed survival sums grouped by rate (what its callers
 pass) and the same sums spread over many basis states. The closed-form
 maps are checked against a fresh engine after the memo has been filled by
 earlier, different calls. ``SparseOp.__matmul__`` is checked against the
-dense product on small random operators.
+dense product on small random operators. ``make_propagator`` is checked
+against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
+blocks of mixed sizes in a shuffled basis.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cavtel.dynamics import DiagonalPropagator, survival_solve
+from cavtel.dynamics import DiagonalPropagator, EigPropagator, make_propagator, survival_solve
 from cavtel.params import reference_params
 from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
 from cavtel.spaces import Register, SiteShape, SparseOp, normalized
@@ -225,3 +228,49 @@ def test_sparse_product_matches_dense_product(pair):
     product = a @ b
     assert product.dim == a.dim
     assert np.max(np.abs(product.to_dense() - a.to_dense() @ b.to_dense()), initial=0.0) <= 1e-12
+
+
+# -- block propagator -----------------------------------------------------------------
+
+
+@st.composite
+def block_hamiltonians(draw):
+    """Dissipative H (Hermitian part minus i times a PSD part) built block by block.
+
+    Sizes repeat and include 1x1 blocks, or one lone block spans the space;
+    the basis is shuffled and every entry is split over two duplicate
+    triplets.
+    """
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(2, 12))]
+    else:
+        sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 3, 5]), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(sizes)
+    basis = rng.permutation(dim)
+    rows, cols, vals = [], [], []
+    start = 0
+    for size in sizes:
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        y = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        block = 0.5 * (x + x.conj().T) - 0.5j * (y @ y.conj().T) / size
+        r, c = np.meshgrid(basis[start:start + size], basis[start:start + size], indexing="ij")
+        split = rng.random(block.shape)
+        for part in (split, 1.0 - split):
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            vals.append((part * block).ravel())
+        start += size
+    h = SparseOp(dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    psi = normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return h, psi, draw(st.floats(0.0, 5.0))
+
+
+@PROPERTY
+@given(block_hamiltonians())
+def test_block_propagator_matches_expm(problem):
+    h, psi, t = problem
+    prop = make_propagator(h)
+    assert isinstance(prop, (EigPropagator, DiagonalPropagator))
+    want = scipy.linalg.expm(-1j * h.to_dense() * t) @ psi
+    assert np.max(np.abs(prop.evolve(psi, t) - want)) <= 1e-10
