@@ -231,24 +231,54 @@ def master_equation_reference(h: SparseOp, channels, rho0, t_points, rtol=1e-8, 
     return sol.y.T.reshape(len(t_points), dim, dim)
 
 
+# Trajectories whose checkpoint states are held at once before they are folded
+# into the density matrices: memory stays fixed however many are averaged.
+_CHUNK = 64
+
+
 def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
-    """Trajectory-averaged density matrices at the requested checkpoints."""
+    """Trajectory-averaged density matrices at the requested checkpoints.
+
+    Trajectory ``i`` draws from its own generator, seeded by child ``i`` of
+    ``SeedSequence(seed).spawn(n_traj)``, and is walked checkpoint by
+    checkpoint with ``evolve_with_jumps``, once for every checkpoint that
+    advances time. Its normalized states are stacked with those of up to
+    ``_CHUNK`` trajectories, and each checkpoint's stack ``S`` adds
+    ``S.T @ S.conj()`` to that checkpoint's sum, so memory does not grow
+    with ``n_traj``. ``n_traj`` must be an integer >= 1 and ``t_points`` a
+    1-D, finite, non-negative, non-decreasing sequence; repeats are allowed.
+    """
+    if not (isinstance(n_traj, Integral) and n_traj >= 1):
+        raise ValueError("n_traj must be an integer >= 1")
+    times = np.asarray(t_points, dtype=float)
+    if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(times >= 0.0)
+            and np.all(np.diff(times) >= 0.0)):
+        raise ValueError("t_points must be a 1-D, finite, non-negative, non-decreasing sequence")
     prop = make_propagator(h)
     dim = h.dim
-    rhos = np.zeros((len(t_points), dim, dim), dtype=np.complex128)
+    # One segment list per checkpoint, built once; None where time does not advance.
+    walks = []
+    t_prev = 0.0
+    for t in times:
+        walks.append([Segment(float(t - t_prev), prop)] if t > t_prev else None)
+        t_prev = float(t)
+    start_state = np.asarray(psi0, dtype=np.complex128)
+    rhos = np.zeros((len(walks), dim, dim), dtype=np.complex128)
+    states = np.empty((len(walks), _CHUNK, dim), dtype=np.complex128)
     children = np.random.SeedSequence(seed).spawn(n_traj)
-    for child in children:
-        rng = np.random.default_rng(child)
-        psi = np.asarray(psi0, dtype=np.complex128)
-        t_prev = 0.0
-        for j, t in enumerate(t_points):
-            if t > t_prev:
-                run = evolve_with_jumps(
-                    psi, [Segment(t - t_prev, prop)], channels, rng, stop_on_emission=False
-                )
-                psi = normalized(run.psi)
-                t_prev = t
-            rhos[j] += np.outer(psi, np.conj(psi)) / n_traj
+    for first in range(0, n_traj, _CHUNK):
+        chunk = children[first:first + _CHUNK]
+        for k, child in enumerate(chunk):
+            rng = np.random.default_rng(child)
+            psi = start_state
+            for j, segments in enumerate(walks):
+                if segments is not None:
+                    run = evolve_with_jumps(psi, segments, channels, rng, stop_on_emission=False)
+                    psi = normalized(run.psi)
+                states[j, k] = psi
+        stacked = states[:, :len(chunk)]
+        rhos += stacked.transpose(0, 2, 1) @ stacked.conj()
+    rhos /= n_traj
     return rhos
 
 

@@ -241,7 +241,7 @@ class Register:
 
 
 def norm2(psi) -> float:
-    return float(np.real(np.vdot(psi, psi)))
+    return float(np.vdot(psi, psi).real)
 
 
 def normalized(psi) -> np.ndarray:

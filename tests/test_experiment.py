@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from cavtel.dynamics import detector_channels, effective_hamiltonian
+from cavtel import experiment
+from cavtel.dynamics import (
+    Segment,
+    detector_channels,
+    effective_hamiltonian,
+    evolve_with_jumps,
+    make_propagator,
+)
 from cavtel.experiment import (
     EnsembleConfig,
     TrajectorySummary,
@@ -25,7 +32,7 @@ from cavtel.experiment import (
 )
 from cavtel.params import PhysicalParams, desk_params, reference_params
 from cavtel.protocol import protocol_space
-from cavtel.spaces import Register, SiteShape
+from cavtel.spaces import Register, SiteShape, normalized
 
 
 def test_haar_input_statistics():
@@ -224,6 +231,77 @@ def test_mcwf_average_approaches_master_equation(decay_system):
     for rho_s, rho_e in zip(sampled, exact):
         assert np.trace(rho_s).real == pytest.approx(1.0, abs=1e-9)
         assert trace_distance(rho_s, rho_e) < 0.06
+
+
+def _bell_pair(space):
+    return (space.ket("01") + space.ket("10")) / np.sqrt(2)
+
+
+def test_mcwf_average_matches_per_trajectory_outer_sum(decay_system):
+    space, params, h, channels = decay_system
+    psi0 = _bell_pair(space)
+    # A checkpoint at 0 and a repeated one: neither advances time.
+    t_points = np.array([0.0, 0.4, 0.4, 1.1]) / params.cavity_decay
+    n_traj = experiment._CHUNK + 3
+    sampled = mcwf_density_average(h, channels, psi0, t_points, n_traj=n_traj, seed=11)
+
+    prop = make_propagator(h)
+    want = np.zeros_like(sampled)
+    for child in np.random.SeedSequence(11).spawn(n_traj):
+        rng = np.random.default_rng(child)
+        psi, t_prev = psi0.astype(complex), 0.0
+        for j, t in enumerate(t_points):
+            if t > t_prev:
+                segments = [Segment(t - t_prev, prop)]
+                run = evolve_with_jumps(psi, segments, channels, rng, stop_on_emission=False)
+                psi, t_prev = normalized(run.psi), t
+            want[j] += np.outer(psi, psi.conj())
+    want /= n_traj
+    assert np.max(np.abs(sampled - want)) <= 1e-12
+    for rho in sampled:
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-13
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mcwf_average_walks_trajectory_major(decay_system, monkeypatch):
+    space, params, h, channels = decay_system
+    t_points = np.array([0.0, 0.5, 0.5, 1.0]) / params.cavity_decay
+    n_traj = experiment._CHUNK + 3
+    calls = []
+
+    def recorder(psi, segments, channels, rng, **kwargs):
+        calls.append((rng.bit_generator.seed_seq.spawn_key[-1], [s.duration for s in segments]))
+        return evolve_with_jumps(psi, segments, channels, rng, **kwargs)
+
+    monkeypatch.setattr("cavtel.experiment.evolve_with_jumps", recorder)
+    mcwf_density_average(h, channels, _bell_pair(space), t_points, n_traj=n_traj, seed=3)
+    step = 0.5 / params.cavity_decay
+    assert calls == [(i, [pytest.approx(step)]) for i in range(n_traj) for _ in range(2)]
+
+
+def test_mcwf_average_repeats_exactly(decay_system):
+    space, params, h, channels = decay_system
+    t_points = np.array([0.3, 0.9]) / params.cavity_decay
+    first, second = (
+        mcwf_density_average(h, channels, _bell_pair(space), t_points, n_traj=50, seed=8) for _ in range(2)
+    )
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize(
+    "n_traj, t_points, name",
+    [
+        (0, [1.0], "n_traj"),
+        (2.5, [1.0], "n_traj"),
+        (4, [2.0, 1.0], "t_points"),
+        (4, [-1.0], "t_points"),
+        (4, [math.nan], "t_points"),
+    ],
+)
+def test_mcwf_average_rejects_bad_inputs(decay_system, n_traj, t_points, name):
+    space, params, h, channels = decay_system
+    with pytest.raises(ValueError, match=name):
+        mcwf_density_average(h, channels, _bell_pair(space), t_points, n_traj=n_traj, seed=1)
 
 
 def test_trace_distance_reference_values():

@@ -1,5 +1,5 @@
 """Property tests for the survival root-finder, the memoised pulse maps, the
-sparse operator product and the block propagator.
+sparse operator product, the block propagator and ensemble seeding.
 
 ``survival_solve`` is fed survival sums grouped by rate (what its callers
 pass) and the same sums spread over many basis states. The closed-form
@@ -7,7 +7,9 @@ maps are checked against a fresh engine after the memo has been filled by
 earlier, different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
 against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
-blocks of mixed sizes in a shuffled basis.
+blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
+grow with time. An ensemble's first trajectories must not depend on how
+many trajectories follow them.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cavtel.dynamics import DiagonalPropagator, EigPropagator, make_propagator, survival_solve
+from cavtel.experiment import EnsembleConfig, run_ensemble
 from cavtel.params import reference_params
 from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
-from cavtel.spaces import Register, SiteShape, SparseOp, normalized
+from cavtel.spaces import Register, SiteShape, SparseOp, norm2, normalized
 
 EPS = np.finfo(float).eps
 
@@ -274,3 +277,26 @@ def test_block_propagator_matches_expm(problem):
     assert isinstance(prop, (EigPropagator, DiagonalPropagator))
     want = scipy.linalg.expm(-1j * h.to_dense() * t) @ psi
     assert np.max(np.abs(prop.evolve(psi, t) - want)) <= 1e-10
+
+
+@PROPERTY
+@given(block_hamiltonians(), st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6))
+def test_no_jump_norm_never_increases(problem, times):
+    h, psi, _ = problem
+    prop = make_propagator(h)
+    norms = [norm2(prop.evolve(psi, t)) for t in sorted([0.0, *times])]
+    # Slack for rounding only: 400 examples grew by at most 7e-16.
+    assert norms[0] <= 1.0 + 1e-12
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(norms, norms[1:]))
+
+
+# -- ensemble seeding ------------------------------------------------------------------
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+def test_ensemble_prefix_is_stable_under_spawn(seed, m, extra):
+    short = run_ensemble(EnsembleConfig(backend="ideal", trajectories=m, seed=seed))
+    longer = run_ensemble(EnsembleConfig(backend="ideal", trajectories=m + extra, seed=seed))
+    # repr compares every field exactly, NaN fidelities included.
+    assert [repr(s) for s in short.summaries] == [repr(s) for s in longer.summaries[:m]]
