@@ -127,6 +127,8 @@ class Register:
     # -- label <-> index ---------------------------------------------------
 
     def _digit_slot(self, site, atom=None):
+        if not 0 <= site < len(self.sites):
+            raise IndexError("site out of range")
         off = self._site_digit_offset[site]
         if atom is None:
             return off + self.sites[site].atoms

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from cavtel import dynamics
 from cavtel.dynamics import (
     JUMP_TIME_RTOL,
     DiagonalPropagator,
@@ -13,6 +14,7 @@ from cavtel.dynamics import (
     ExpmPropagator,
     PropagatorCache,
     Segment,
+    SiteFactorPropagator,
     _bisect_jump_time,
     decay_balance_defect,
     detector_channels,
@@ -178,9 +180,7 @@ def test_make_propagator_never_densifies(monkeypatch):
     assert (start, stop, lam.shape) == (0, 800, (8, 100))
     psi = normalized(np.random.default_rng(3).normal(size=h.dim) + 0j)
     t = 0.05
-    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
-    want = scipy.sparse.linalg.expm_multiply(-1j * t * m, psi)
-    assert np.max(np.abs(prop.evolve(psi, t) - want)) <= 1e-10
+    assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
 
 
 def test_propagators_match_expm(params):
@@ -224,6 +224,92 @@ def test_propagator_cache_reuses_and_validates(params):
     b = cache.get([(0, 0, 1, 0)])  # same config, different literals
     assert a is b
     assert cache.get(()) is not a
+
+
+@pytest.mark.parametrize(
+    "lasers",
+    [
+        [(-1, 0, True, False)],
+        [(-1, 0, True, False), (1, 1, True, False)],  # two atoms lit on the last site
+        [(2, 0, True, False)],
+        [(0, 3, False, True)],
+    ],
+)
+def test_propagator_cache_rejects_rows_outside_the_register(params, lasers):
+    cache = PropagatorCache(protocol_space(), params, tier="effective")
+    with pytest.raises(ValueError, match="outside the register"):
+        cache.get(lasers)
+
+
+def _expm_multiply(h, psi, t):
+    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    return scipy.sparse.linalg.expm_multiply(-1j * t * m, psi)
+
+
+def _embedded_sum(site_hs):
+    """sum_s I (x) H_s (x) I over the sites, duplicates summed."""
+    dims = [h.dim for h in site_hs]
+    total = 0
+    for s, h in enumerate(site_hs):
+        local = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
+        pre = scipy.sparse.identity(int(np.prod(dims[:s])), format="csr")
+        post = scipy.sparse.identity(int(np.prod(dims[s + 1:])), format="csr")
+        total = total + scipy.sparse.kron(scipy.sparse.kron(pre, local), post)
+    return scipy.sparse.csr_array(total)
+
+
+DESK_CONFIGS = {
+    "lasers_off": (),
+    "one_laser": [(0, 1, True, False)],
+    "one_flip": [(1, 0, True, True)],
+    "two_flips": [(0, 0, True, True), (1, 1, True, True)],
+}
+
+
+@pytest.mark.parametrize("tier", ["effective", "full"])
+@pytest.mark.parametrize("config", list(DESK_CONFIGS))
+def test_site_hamiltonians_sum_to_the_register_hamiltonian(tier, config):
+    levels, cutoff = (2, 4) if tier == "effective" else (3, 3)
+    cache = PropagatorCache(protocol_space(levels=levels, cutoff=cutoff), desk_params(), tier)
+    lasers = DESK_CONFIGS[config]
+    site_hs = cache.site_hamiltonians(lasers)
+    assert [h.dim for h in site_hs] == ([40, 20] if tier == "effective" else [108, 36])
+    h = cache.hamiltonian(lasers)
+    whole = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    gap = (whole - _embedded_sum(site_hs)).data
+    assert np.max(np.abs(gap), initial=0.0) <= 1e-12 * np.max(np.abs(whole.data))
+    prop = cache.get(lasers)
+    diagonal = tier == "effective" and config == "lasers_off"
+    assert isinstance(prop, DiagonalPropagator if diagonal else SiteFactorPropagator)
+
+
+def test_full_tier_two_flips_builds_per_site():
+    # 3,888 states; the whole-register blocks here hold 1,152 states each.
+    cache = PropagatorCache(protocol_space(levels=3, cutoff=3), desk_params(), "full")
+    lasers = DESK_CONFIGS["two_flips"]
+    prop = cache.get(lasers)
+    assert isinstance(prop, SiteFactorPropagator)
+    assert [step[0] for step in prop.steps] == [(1, 108, 36), (108, 36, 1)]
+    h = cache.hamiltonian(lasers)
+    psi = normalized(np.random.default_rng(8).normal(size=h.dim) + 0j)
+    t = 25.0 / np.max(np.abs(h.vals))  # expm_multiply's cost grows with |H| t
+    assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
+
+
+def test_site_check_failure_warns_and_falls_back(monkeypatch, params):
+    space = Register([SiteShape(1, 2, 1), SiteShape(2, 2, 1)])
+    cache = PropagatorCache(space, params, tier="effective")
+    monkeypatch.setattr(dynamics, "EIG_CHECK_RTOL", -1.0)  # no residual passes
+    lasers = [(1, 0, True, True)]  # site 0 stays diagonal and needs no check
+    site_failed = r"site 1: eigendecomposition of \d+-state blocks failed its check \(residual"
+    # The whole-register build fails the same check and warns on its own.
+    with pytest.warns(RuntimeWarning, match="whole-matrix expm"), pytest.warns(RuntimeWarning, match=site_failed):
+        prop = cache.get(lasers)
+    assert not isinstance(prop, SiteFactorPropagator)
+    h = cache.hamiltonian(lasers)
+    psi = normalized(np.random.default_rng(2).normal(size=space.dim) + 1j)
+    t = 3.0 / np.max(np.abs(h.vals))
+    assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
 
 
 def _photon_setup(params):

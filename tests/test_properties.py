@@ -8,17 +8,27 @@ earlier, different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
 against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
 blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
-grow with time. An ensemble's first trajectories must not depend on how
+grow with time. ``PropagatorCache``'s per-site factors are checked against
+``expm_multiply`` of the whole-register Hamiltonian on random registers of
+one to three sites. An ensemble's first trajectories must not depend on how
 many trajectories follow them.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cavtel.dynamics import DiagonalPropagator, EigPropagator, make_propagator, survival_solve
+from cavtel.dynamics import (
+    DiagonalPropagator,
+    EigPropagator,
+    PropagatorCache,
+    make_propagator,
+    survival_solve,
+)
 from cavtel.experiment import EnsembleConfig, run_ensemble
 from cavtel.params import reference_params
 from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
@@ -288,6 +298,36 @@ def test_no_jump_norm_never_increases(problem, times):
     # Slack for rounding only: 400 examples grew by at most 7e-16.
     assert norms[0] <= 1.0 + 1e-12
     assert all(later <= earlier + 1e-12 for earlier, later in zip(norms, norms[1:]))
+
+
+@st.composite
+def lit_registers(draw):
+    """A tier, a register of one to three sites and one laser row or none per site."""
+    tier = draw(st.sampled_from(["effective", "full"]))
+    levels = 2 if tier == "effective" else 3
+    shapes = draw(st.lists(st.builds(SiteShape, st.integers(1, 2), st.just(levels), st.integers(0, 2)),
+                           min_size=1, max_size=3))
+    assume(np.prod([shape.dim for shape in shapes]) <= 600)
+    lasers = []
+    for site, shape in enumerate(shapes):
+        if draw(st.booleans()):
+            strong, weak = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+            lasers.append((site, draw(st.integers(0, shape.atoms - 1)), strong, weak))
+    return tier, Register(shapes), lasers, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 20.0))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(lit_registers())
+def test_site_factors_match_expm_multiply(problem):
+    tier, space, lasers, seed, tau = problem
+    cache = PropagatorCache(space, reference_params(), tier)
+    h = cache.hamiltonian(lasers)
+    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
+    t = tau / np.max(np.abs(m.data))  # expm_multiply's cost grows with |H| t
+    rng = np.random.default_rng(seed)
+    psi = normalized(rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
+    want = scipy.sparse.linalg.expm_multiply(-1j * t * m, psi)
+    assert np.max(np.abs(cache.get(lasers).evolve(psi, t) - want)) <= 1e-10
 
 
 # -- ensemble seeding ------------------------------------------------------------------

@@ -78,6 +78,15 @@ def test_digit_tables(qubit_register):
     assert reg.zero_level_count(0, exclude_atom=1)[idx] == 0
 
 
+@pytest.mark.parametrize("site", [-1, 2])
+def test_site_tables_reject_sites_outside_the_register(qubit_register, site):
+    # A negative site must not wrap around to the last one.
+    with pytest.raises(IndexError, match="site out of range"):
+        qubit_register.photon_numbers(site)
+    with pytest.raises(IndexError, match="site out of range"):
+        qubit_register.atom_levels(site, 0)
+
+
 def test_transition_moves_one_atom(qubit_register):
     reg = qubit_register
     op = reg.transition(0, 1, 1, 0)
