@@ -13,20 +13,20 @@ the channel drawn by Born weights, and the state renormalized.
 
 Propagators are built from the sparse Hamiltonian without a dense copy of
 it. The states split into connected blocks that H never couples to each
-other; each block is exponentiated on its own through an eigendecomposition,
-batched over blocks of equal size, and a diagonal H keeps closed-form
-survival times. Only a defective block falls back, with a warning, to a
-matrix exponential of the whole H.
+other; each block is eigendecomposed on its own, batched over blocks of
+equal size, and the blocks are laid out as one dense V diag(exp(-i lam t)) W
+factor in basis order. A diagonal H keeps closed-form survival times. Only
+a defective block falls back, with a warning, to a matrix exponential of H.
 
 Neither tier's no-jump Hamiltonian couples two cavity sites: only the
 detector jump operators a0 +- a1 mix them. So the protocol's propagators
-(``PropagatorCache``) are built per site, from each site's Hamiltonian on a
-one-site register (40 and 20 states on the ``effective`` desk register, 108
-and 36 on ``full``), and applied to the state one site axis at a time as
-dense V diag(exp(-i lam t)) W products. With blocks this small the results
-do not depend on the BLAS thread count. A site that fails its
-eigendecomposition check is named in a warning, and that configuration is
-built whole-register instead.
+(``PropagatorCache``) hold one such factor per site, built from each site's
+Hamiltonian on a one-site register (40 and 20 states on the ``effective``
+desk register, 108 and 36 on ``full``), and ``EigPropagator`` applies them
+to the state one site axis at a time. With blocks this small the results do
+not depend on the BLAS thread count. A site that fails its
+eigendecomposition check is named in a warning, and only that site falls
+back to a matrix exponential of its own Hamiltonian.
 """
 
 from __future__ import annotations
@@ -233,41 +233,13 @@ class DiagonalPropagator:
         return survival_solve(weights, self._rates, threshold, t_max)
 
 
-class EigPropagator:
-    """exp(-iHt) for block-diagonal H through cached per-block eigendecompositions.
-
-    ``perm`` gathers the basis into block order (None when it already is);
-    each group is ``(start, stop, lam, vmat, wmat)`` over a contiguous range
-    of that order, with H_block = V diag(lam) W. A group of 1x1 blocks has
-    no V or W, and equal-size blocks are stacked as (n_blocks, s, s). A lone
-    block keeps 2-D matrices: a batched matmul over one block costs about
-    twice a plain matvec.
-    """
-
-    def __init__(self, perm, groups):
-        self.perm = perm
-        self.inverse = None if perm is None else np.argsort(perm)
-        self.groups = groups
-
-    def evolve(self, psi, t):
-        x = psi if self.perm is None else psi[self.perm]
-        parts = []
-        for start, stop, lam, vmat, wmat in self.groups:
-            phase = np.exp(-1j * lam * t)
-            seg = x[start:stop]
-            if vmat is None:
-                parts.append(phase * seg)
-            elif vmat.ndim == 2:
-                parts.append(vmat @ (phase * (wmat @ seg)))
-            else:
-                seg = seg.reshape(len(lam), -1, 1)
-                parts.append((vmat @ (phase[:, :, None] * (wmat @ seg))).ravel())
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out if self.inverse is None else out[self.inverse]
-
-
 class ExpmPropagator:
-    """Fallback exp(-iHt) by direct matrix exponential, memoized per duration."""
+    """Fallback exp(-iHt) by direct matrix exponential, memoized per duration.
+
+    The matrix is applied with ``@``, so it also evolves the middle axis of
+    a (pre, size, post) array: an ``EigPropagator`` uses it as the factor of
+    a site whose eigendecomposition failed its check.
+    """
 
     def __init__(self, h_dense):
         self.h = h_dense
@@ -282,15 +254,51 @@ class ExpmPropagator:
         return self._cache[key] @ psi
 
 
+class EigPropagator:
+    """exp(-iHt) for H = sum over tensor axes of H_k, one axis at a time.
+
+    The state is viewed as a tensor over the axis dimensions ``dims``. Each
+    factor is ``(lam, vmat, wmat)`` in its axis's basis order, with
+    exp(-iH_k t) = V diag(exp(-i lam t)) W as dense matrices; a diagonal
+    axis has no V or W and is applied elementwise. An ``ExpmPropagator``
+    may stand in for an axis's factor. ``make_propagator`` gives one axis,
+    ``PropagatorCache`` one per site.
+    """
+
+    def __init__(self, dims, factors):
+        self.factors = list(factors)
+        self.shapes = [(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
+                       for axis in range(len(dims))]
+
+    def evolve(self, psi, t):
+        x = psi
+        for (pre, size, post), factor in zip(self.shapes, self.factors):
+            if isinstance(factor, ExpmPropagator):
+                x = factor.evolve(x.reshape(pre, size, post), t)
+                continue
+            lam, vmat, wmat = factor
+            phase = np.exp(-1j * lam * t)
+            if vmat is None:
+                x = x.reshape(pre, size, post) * phase[:, None]
+            elif post > 1:
+                x = vmat @ (phase[:, None] * (wmat @ x.reshape(pre, size, post)))
+            elif pre > 1:
+                x = ((x.reshape(pre, size) @ wmat.T) * phase) @ vmat.T
+            else:  # a single axis: a plain matvec is the fastest form
+                x = vmat @ (phase * (wmat @ x))
+        return x.reshape(-1)
+
+
 def make_propagator(h: SparseOp):
-    """Propagator for H, exponentiated one connected block at a time.
+    """Propagator for H, eigendecomposed one connected block at a time.
 
     A diagonal H gives a ``DiagonalPropagator``. Otherwise the states are
-    split into blocks that H links in either direction, ordered by block
-    size, and each size group is eigendecomposed in one batched call. If a
-    group's eigenvectors do not reproduce it to ``EIG_CHECK_RTOL`` (a
-    defective block), a ``RuntimeWarning`` says so and the whole matrix
-    falls back to an ``ExpmPropagator``.
+    split into blocks that H links in either direction, and each block size
+    is eigendecomposed in one batched call. The blocks are scattered into
+    one dense ``(lam, V, W)`` factor in basis order, returned as a one-axis
+    ``EigPropagator``. If a size group's eigenvectors do not reproduce it to
+    ``EIG_CHECK_RTOL`` (a defective block), a ``RuntimeWarning`` says so and
+    H falls back to an ``ExpmPropagator``.
     """
     n = h.dim
     m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(n, n))  # sums duplicates
@@ -313,7 +321,9 @@ def make_propagator(h: SparseOp):
     prow, pcol = pos[rows], pos[cols]
     sizes, counts = np.unique(state_size[perm], return_counts=True)
     scale = float(np.max(np.abs(vals)))
-    groups = []
+    lam_all = np.empty(n, dtype=np.complex128)
+    v_all = np.zeros((n, n), dtype=np.complex128)
+    w_all = np.zeros((n, n), dtype=np.complex128)
     start = 0
     for size, count in zip(sizes.tolist(), counts.tolist()):
         stop = start + count
@@ -323,7 +333,7 @@ def make_propagator(h: SparseOp):
         stack = np.zeros((n_blocks, size, size), dtype=np.complex128)
         stack[local_row // size, local_row % size, local_col % size] = vals[entry]
         if size == 1:
-            groups.append((start, stop, stack.reshape(n_blocks), None, None))
+            lam, vmat, wmat = stack.reshape(n_blocks, 1), np.ones_like(stack), np.ones_like(stack)
         else:
             lam, vmat = np.linalg.eig(stack)
             try:
@@ -339,72 +349,27 @@ def make_propagator(h: SparseOp):
                     stacklevel=2,
                 )
                 return ExpmPropagator(h.to_dense())
-            if n_blocks == 1:
-                lam, vmat, wmat = lam[0], vmat[0], wmat[0]
-            groups.append((start, stop, lam, np.ascontiguousarray(vmat), np.ascontiguousarray(wmat)))
+        # Block b holds the basis states perm[start + b*size : start + (b+1)*size].
+        block = perm[start:stop].reshape(n_blocks, size)
+        lam_all[block] = lam
+        v_all[block[:, :, None], block[:, None, :]] = vmat
+        w_all[block[:, :, None], block[:, None, :]] = wmat
         start = stop
-    return EigPropagator(None if np.array_equal(perm, np.arange(n)) else perm, groups)
-
-
-class SiteFactorPropagator:
-    """exp(-iHt) for H = sum over sites of H_s, one site axis at a time.
-
-    The state is viewed as a tensor over the site dimensions ``dims``. Each
-    factor is ``(lam, vmat, wmat)`` in its site's basis order, with
-    exp(-iH_s t) = V diag(exp(-i lam t)) W as dense matrices; a diagonal
-    site has no V or W and is applied elementwise.
-    """
-
-    def __init__(self, dims, factors):
-        self.steps = []
-        for axis, (lam, vmat, wmat) in enumerate(factors):
-            shape = (math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
-            self.steps.append((shape, lam, vmat, wmat))
-
-    def evolve(self, psi, t):
-        x = psi
-        for (pre, size, post), lam, vmat, wmat in self.steps:
-            phase = np.exp(-1j * lam * t)
-            if vmat is None:
-                x = x.reshape(pre, size, post) * phase[:, None]
-            elif post == 1:
-                x = ((x.reshape(pre, size) @ wmat.T) * phase) @ vmat.T
-            else:
-                x = vmat @ (phase[:, None] * (wmat @ x.reshape(pre, size, post)))
-        return x.reshape(-1)
-
-
-def _dense_factor(prop):
-    """(lam, V, W) of a one-site propagator in the site's basis order; no V, W if diagonal."""
-    if isinstance(prop, DiagonalPropagator):
-        return prop.diag, None, None
-    lams, vs, ws = [], [], []
-    for _, _, lam, vmat, wmat in prop.groups:
-        if vmat is None:  # 1x1 blocks
-            vmat = wmat = np.ones((lam.size, 1, 1))
-        size = vmat.shape[-1]
-        lams.append(lam.ravel())
-        vs.extend(vmat.reshape(-1, size, size))
-        ws.extend(wmat.reshape(-1, size, size))
-    lam = np.concatenate(lams)
-    vmat, wmat = scipy.linalg.block_diag(*vs), scipy.linalg.block_diag(*ws)
-    if prop.inverse is None:
-        return lam, vmat, wmat
-    back = np.ix_(prop.inverse, prop.inverse)
-    return lam[prop.inverse], vmat[back], wmat[back]
+    return EigPropagator([n], [(lam_all, v_all, w_all)])
 
 
 class PropagatorCache:
     """Propagators per laser configuration for one space and model tier.
 
     Neither tier's Hamiltonian couples two sites (the cavities meet only at
-    the detectors, through the jump operators), so each configuration is
-    built as one factor per site from that site's Hamiltonian alone, on a
-    one-site register. When every site is diagonal the whole-space
-    ``DiagonalPropagator`` is returned, which keeps closed-form survival
-    times. A site whose eigendecomposition fails its check is reported
-    with a ``RuntimeWarning`` and the configuration falls back to the
-    whole-register ``make_propagator``.
+    the detectors, through the jump operators), so each configuration is an
+    ``EigPropagator`` with one factor per site, built by ``make_propagator``
+    from that site's Hamiltonian alone, on a one-site register. When every
+    site is diagonal the whole-space ``DiagonalPropagator`` is returned,
+    which keeps closed-form survival times. A site whose eigendecomposition
+    fails its check is reported with a ``RuntimeWarning`` naming it, and
+    that site's factor falls back to an ``ExpmPropagator`` of its own
+    Hamiltonian.
     """
 
     def __init__(self, space: Register, params: PhysicalParams, tier="effective"):
@@ -451,15 +416,18 @@ class PropagatorCache:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    factors.append(_dense_factor(make_propagator(h)))
+                    prop = make_propagator(h)
             except RuntimeWarning as exc:
                 warnings.warn(
-                    f"site {site}: {str(exc).partition(';')[0]}; building the whole-register propagator instead",
+                    f"site {site}: {str(exc).partition(';')[0]}; falling back to expm of "
+                    f"this site's {h.dim}-state Hamiltonian",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                return make_propagator(self.hamiltonian(key))
-        return SiteFactorPropagator([sub.dim for sub in self._site_spaces], factors)
+                factors.append(ExpmPropagator(h.to_dense()))
+            else:
+                factors.append((prop.diag, None, None) if isinstance(prop, DiagonalPropagator) else prop.factors[0])
+        return EigPropagator([h.dim for h in site_hs], factors)
 
 
 # -- trajectory stepping ----------------------------------------------------------

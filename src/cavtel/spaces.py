@@ -138,6 +138,9 @@ class Register:
 
     def index(self, label) -> int:
         """Flat index of a label given as one (digits..., photon) tuple per site."""
+        label = tuple(label)
+        if len(label) != len(self.sites):
+            raise ValueError("label has wrong number of sites")
         flat = []
         for site, part in enumerate(label):
             part = tuple(part)
@@ -150,8 +153,6 @@ class Register:
             if not 0 <= part[-1] <= shape.cutoff:
                 raise ValueError("photon count above cutoff")
             flat.extend(part)
-        if len(flat) != len(self._radices):
-            raise ValueError("label has wrong number of sites")
         return int(np.dot(self._strides, flat))
 
     def label(self, index) -> tuple:
@@ -228,10 +229,14 @@ class Register:
 
     def site_ket(self, site, part) -> np.ndarray:
         """Basis vector of one site's local space, same digit ordering."""
+        if not 0 <= site < len(self.sites):
+            raise IndexError("site out of range")
         if isinstance(part, str):
             part = tuple(int(c) for c in part)
         shape = self.sites[site]
         radix = [shape.levels] * shape.atoms + [shape.cutoff + 1]
+        if len(part) != len(radix):
+            raise ValueError("label arity mismatch")
         idx = 0
         for d, r in zip(part, radix):
             if not 0 <= d < r:

@@ -1,9 +1,12 @@
 """Hamiltonian builders, propagators, and the jump-sampling walk."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from cavtel import dynamics
@@ -14,7 +17,6 @@ from cavtel.dynamics import (
     ExpmPropagator,
     PropagatorCache,
     Segment,
-    SiteFactorPropagator,
     _bisect_jump_time,
     decay_balance_defect,
     detector_channels,
@@ -176,8 +178,13 @@ def test_make_propagator_never_densifies(monkeypatch):
     monkeypatch.setattr(SparseOp, "to_dense", no_dense)
     prop = make_propagator(h)
     assert isinstance(prop, EigPropagator)
-    [(start, stop, lam, _, _)] = prop.groups
-    assert (start, stop, lam.shape) == (0, 800, (8, 100))
+    [(lam, vmat, wmat)] = prop.factors
+    assert lam.shape == (800,)
+    links = scipy.sparse.csr_array((np.ones(h.vals.size), (h.rows, h.cols)), shape=(h.dim, h.dim))
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(links, directed=False)
+    assert n_blocks == 8 and np.all(np.bincount(labels) == 100)
+    outside = labels[:, None] != labels[None, :]
+    assert not np.any(vmat[outside]) and not np.any(wmat[outside])
     psi = normalized(np.random.default_rng(3).normal(size=h.dim) + 0j)
     t = 0.05
     assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
@@ -280,7 +287,7 @@ def test_site_hamiltonians_sum_to_the_register_hamiltonian(tier, config):
     assert np.max(np.abs(gap), initial=0.0) <= 1e-12 * np.max(np.abs(whole.data))
     prop = cache.get(lasers)
     diagonal = tier == "effective" and config == "lasers_off"
-    assert isinstance(prop, DiagonalPropagator if diagonal else SiteFactorPropagator)
+    assert isinstance(prop, DiagonalPropagator if diagonal else EigPropagator)
 
 
 def test_full_tier_two_flips_builds_per_site():
@@ -288,8 +295,8 @@ def test_full_tier_two_flips_builds_per_site():
     cache = PropagatorCache(protocol_space(levels=3, cutoff=3), desk_params(), "full")
     lasers = DESK_CONFIGS["two_flips"]
     prop = cache.get(lasers)
-    assert isinstance(prop, SiteFactorPropagator)
-    assert [step[0] for step in prop.steps] == [(1, 108, 36), (108, 36, 1)]
+    assert isinstance(prop, EigPropagator)
+    assert prop.shapes == [(1, 108, 36), (108, 36, 1)]
     h = cache.hamiltonian(lasers)
     psi = normalized(np.random.default_rng(8).normal(size=h.dim) + 0j)
     t = 25.0 / np.max(np.abs(h.vals))  # expm_multiply's cost grows with |H| t
@@ -300,15 +307,45 @@ def test_site_check_failure_warns_and_falls_back(monkeypatch, params):
     space = Register([SiteShape(1, 2, 1), SiteShape(2, 2, 1)])
     cache = PropagatorCache(space, params, tier="effective")
     monkeypatch.setattr(dynamics, "EIG_CHECK_RTOL", -1.0)  # no residual passes
+    built = []
+    real_build = dynamics.make_propagator
+    monkeypatch.setattr(dynamics, "make_propagator", lambda h: built.append(h.dim) or real_build(h))
     lasers = [(1, 0, True, True)]  # site 0 stays diagonal and needs no check
-    site_failed = r"site 1: eigendecomposition of \d+-state blocks failed its check \(residual"
-    # The whole-register build fails the same check and warns on its own.
-    with pytest.warns(RuntimeWarning, match="whole-matrix expm"), pytest.warns(RuntimeWarning, match=site_failed):
+    with pytest.warns(RuntimeWarning) as record:
         prop = cache.get(lasers)
-    assert not isinstance(prop, SiteFactorPropagator)
+    [message] = [str(w.message) for w in record]
+    assert re.match(r"site 1: eigendecomposition of \d+-state blocks failed its check \(residual", message)
+    assert built == [4, 8]  # one build per site, none of the 32-state register
+    assert isinstance(prop, EigPropagator)
+    diagonal, fallback = prop.factors
+    assert diagonal[1] is None
+    assert isinstance(fallback, ExpmPropagator) and fallback.h.shape == (8, 8)
     h = cache.hamiltonian(lasers)
     psi = normalized(np.random.default_rng(2).normal(size=space.dim) + 1j)
     t = 3.0 / np.max(np.abs(h.vals))
+    assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
+
+
+def test_full_tier_fallback_stays_per_site(monkeypatch):
+    # Both sites fail the check: each falls back alone, and no dense matrix
+    # larger than one site's 108 states is ever built.
+    cache = PropagatorCache(protocol_space(levels=3, cutoff=3), desk_params(), "full")
+    monkeypatch.setattr(dynamics, "EIG_CHECK_RTOL", -1.0)
+    real_dense = SparseOp.to_dense
+
+    def site_sized(op):
+        assert op.dim <= 108, f"dense {op.dim}-state matrix"
+        return real_dense(op)
+
+    monkeypatch.setattr(SparseOp, "to_dense", site_sized)
+    lasers = DESK_CONFIGS["two_flips"]
+    with pytest.warns(RuntimeWarning) as record:
+        prop = cache.get(lasers)
+    assert [str(w.message)[:7] for w in record] == ["site 0:", "site 1:"]
+    assert [factor.h.shape for factor in prop.factors] == [(108, 108), (36, 36)]
+    h = cache.hamiltonian(lasers)
+    psi = normalized(np.random.default_rng(8).normal(size=h.dim) + 0j)
+    t = 25.0 / np.max(np.abs(h.vals))
     assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
 
 

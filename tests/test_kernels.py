@@ -4,7 +4,8 @@ Each kernel is one numpy expression inside its caller: the coordinate-form
 apply in ``SparseOp.apply``, the phase-decay map in
 ``DiagonalPropagator.evolve``, the survival root-finder
 ``dynamics.survival_solve``, the pairwise rotation in the closed-form pulse
-maps, and the per-block eigenbasis propagation in ``EigPropagator.evolve``.
+maps, and the eigenbasis propagation in ``EigPropagator.evolve``: one dense
+V diag(exp(-i lam t)) W factor per tensor axis, a plain matvec for one axis.
 """
 
 import numpy as np

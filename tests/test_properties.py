@@ -10,7 +10,8 @@ against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
 blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
 grow with time. ``PropagatorCache``'s per-site factors are checked against
 ``expm_multiply`` of the whole-register Hamiltonian on random registers of
-one to three sites. An ensemble's first trajectories must not depend on how
+one to three sites. On random register layouts, every basis label must
+survive index, string and per-site round trips. An ensemble's first trajectories must not depend on how
 many trajectories follow them.
 """
 
@@ -328,6 +329,27 @@ def test_site_factors_match_expm_multiply(problem):
     psi = normalized(rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim))
     want = scipy.sparse.linalg.expm_multiply(-1j * t * m, psi)
     assert np.max(np.abs(cache.get(lasers).evolve(psi, t) - want)) <= 1e-10
+
+
+# -- register labels --------------------------------------------------------------------
+
+SITE_SHAPES = st.builds(SiteShape, st.integers(1, 2), st.integers(2, 3), st.integers(0, 3))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.lists(SITE_SHAPES, min_size=1, max_size=3), st.data())
+def test_labels_round_trip(shapes, data):
+    reg = Register(shapes)
+    labels = [reg.label(i) for i in range(reg.dim)]
+    assert [reg.index(label) for label in labels] == list(range(reg.dim))
+    for label in labels:
+        assert reg.parse(";".join("".join(map(str, part)) for part in label)) == label
+    # A product ket's site marginals are that site's own basis kets.
+    label = labels[data.draw(st.integers(0, reg.dim - 1))]
+    psi = reg.ket(label)
+    for site, part in enumerate(label):
+        local = reg.site_ket(site, part)
+        assert np.array_equal(reg.reduced_density(psi, site), np.outer(local, local.conj()))
 
 
 # -- ensemble seeding ------------------------------------------------------------------

@@ -133,6 +133,25 @@ def test_site_ket_digit_range(small):
         small.site_ket(0, "03")
 
 
+TWO_THREE_DIGIT_SITES = Register([SiteShape(2, 2, 1)] * 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda reg: reg.site_ket(1, "10"), ValueError, "label arity mismatch"),  # one digit short
+        (lambda reg: reg.site_ket(1, "1001"), ValueError, "label arity mismatch"),  # one digit over
+        (lambda reg: reg.site_ket(-1, "100"), IndexError, "site out of range"),
+        (lambda reg: reg.site_ket(2, "100"), IndexError, "site out of range"),
+        (lambda reg: reg.index(((1, 0, 0), (0, 0, 0), (0, 0, 0))), ValueError, "wrong number of sites"),
+    ],
+    ids=["site_ket_short", "site_ket_long", "site_ket_site_-1", "site_ket_site_2", "index_extra_site"],
+)
+def test_malformed_labels_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call(TWO_THREE_DIGIT_SITES)
+
+
 def test_sparse_op_algebra():
     rng = np.random.default_rng(7)
     # Explicit triplets with repeated (row, col) entries.
