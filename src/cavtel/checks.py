@@ -45,12 +45,12 @@ class AgreementRow:
         return self.modulus_err <= MODULUS_TOL and self.phase_err <= PHASE_TOL
 
 
-def compare_states(numeric, analytic, floor=AMPLITUDE_FLOOR, phase_floor=PHASE_FLOOR):
+def compare_states(numeric, analytic):
     """Worst modulus and phase deviation on the analytic state's support.
 
     Moduli are compared as absolute differences wherever the analytic state
-    has weight above ``floor``. Phases are compared only above
-    ``phase_floor``: the phase of a residual-scale component flips by pi
+    has weight above ``AMPLITUDE_FLOOR``. Phases are compared only above
+    ``PHASE_FLOOR``: the phase of a residual-scale component flips by pi
     when a second-order correction pushes its near-zero rotation amplitude
     through zero, so smaller components carry no usable phase information.
     """
@@ -58,9 +58,9 @@ def compare_states(numeric, analytic, floor=AMPLITUDE_FLOOR, phase_floor=PHASE_F
     analytic = normalized(analytic)
     anchor = int(np.argmax(np.abs(analytic)))
     numeric = numeric * np.exp(1j * (np.angle(analytic[anchor]) - np.angle(numeric[anchor])))
-    sig = np.abs(analytic) > floor
+    sig = np.abs(analytic) > AMPLITUDE_FLOOR
     mod_err = float(np.max(np.abs(np.abs(numeric[sig]) - np.abs(analytic[sig]))))
-    phased = np.abs(analytic) > phase_floor
+    phased = np.abs(analytic) > PHASE_FLOOR
     phase_err = 0.0
     if np.any(phased):
         phase_err = float(np.max(np.abs(np.angle(numeric[phased] / analytic[phased]))))

@@ -100,9 +100,9 @@ def _resolve(args) -> tuple[EnsembleConfig, str, str | None]:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    # Only the settings given reach EnsembleConfig, as the type of their default.
-    given = {key: _convert(type(getattr(EnsembleConfig, key)), key, data[key])
-             for key in RUN_SETTINGS if key in data}
+    # Only the settings given reach EnsembleConfig, which checks them as given:
+    # the flags are typed by argparse, and a file's value is not rounded.
+    given = {key: data[key] for key in RUN_SETTINGS if key in data}
     try:
         config = EnsembleConfig(**given, amp_in=_parse_input(data.get("input")), params=_build_params(data))
     except ValueError as exc:

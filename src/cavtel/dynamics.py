@@ -11,12 +11,12 @@ unnormalized state is the no-jump probability. A jump fires when that norm
 falls to a uniform random threshold; the jump time is located by bisection,
 the channel drawn by Born weights, and the state renormalized.
 
-Propagators are built from the sparse Hamiltonian without a dense copy of
-it. The states split into connected blocks that H never couples to each
-other; each block is eigendecomposed on its own, batched over blocks of
-equal size, and the blocks are laid out as one dense V diag(exp(-i lam t)) W
-factor in basis order. A diagonal H keeps closed-form survival times. Only
-a defective block falls back, with a warning, to a matrix exponential of H.
+A diagonal H keeps closed-form survival times and is read off its sparse
+triplets, with no dense copy. Otherwise the states split into connected
+blocks that H never couples to each other; each block is eigendecomposed on
+its own, and the blocks are laid out as one dense V diag(exp(-i lam t)) W
+factor in basis order. Only a defective block falls back, with a warning,
+to a matrix exponential of H.
 
 Neither tier's no-jump Hamiltonian couples two cavity sites: only the
 detector jump operators a0 +- a1 mix them. So the protocol's propagators
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.csgraph
 
 from .params import PhysicalParams
@@ -292,70 +291,48 @@ class EigPropagator:
 def make_propagator(h: SparseOp):
     """Propagator for H, eigendecomposed one connected block at a time.
 
-    A diagonal H gives a ``DiagonalPropagator``. Otherwise the states are
-    split into blocks that H links in either direction, and each block size
-    is eigendecomposed in one batched call. The blocks are scattered into
-    one dense ``(lam, V, W)`` factor in basis order, returned as a one-axis
-    ``EigPropagator``. If a size group's eigenvectors do not reproduce it to
+    A diagonal H gives a ``DiagonalPropagator``, read off the triplets
+    without a dense copy. Otherwise each block of states that H links in
+    either direction is eigendecomposed on its own and written into one
+    dense ``(lam, V, W)`` factor in basis order, returned as a one-axis
+    ``EigPropagator``. If a block's eigenvectors do not reproduce it to
     ``EIG_CHECK_RTOL`` (a defective block), a ``RuntimeWarning`` says so and
     H falls back to an ``ExpmPropagator``.
     """
     n = h.dim
-    m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(n, n))  # sums duplicates
-    m.eliminate_zeros()
-    m = m.tocoo()
-    rows, cols, vals = m.row, m.col, m.data
-    off = rows != cols
-    if not np.any(off):
+    if np.array_equal(h.rows, h.cols):
         diag = np.zeros(n, dtype=np.complex128)
-        diag[rows] = vals
+        np.add.at(diag, h.rows, h.vals)
         return DiagonalPropagator(diag)
-    # A real 0/1 pattern: csgraph casts to float, which would warn on complex
-    # values and drop links that are purely imaginary.
-    links = scipy.sparse.csr_array((np.ones(int(off.sum())), (rows[off], cols[off])), shape=(n, n))
+    dense = h.to_dense()
+    links = dense != 0  # csgraph's float cast would drop purely imaginary links
+    np.fill_diagonal(links, False)
     _, labels = scipy.sparse.csgraph.connected_components(links, directed=False)
-    state_size = np.bincount(labels)[labels]
-    perm = np.lexsort((labels, state_size))  # stable: basis order inside each block
-    pos = np.empty(n, dtype=np.int64)
-    pos[perm] = np.arange(n)
-    prow, pcol = pos[rows], pos[cols]
-    sizes, counts = np.unique(state_size[perm], return_counts=True)
-    scale = float(np.max(np.abs(vals)))
-    lam_all = np.empty(n, dtype=np.complex128)
-    v_all = np.zeros((n, n), dtype=np.complex128)
-    w_all = np.zeros((n, n), dtype=np.complex128)
-    start = 0
-    for size, count in zip(sizes.tolist(), counts.tolist()):
-        stop = start + count
-        n_blocks = count // size
-        entry = (prow >= start) & (prow < stop)
-        local_row, local_col = prow[entry] - start, pcol[entry] - start
-        stack = np.zeros((n_blocks, size, size), dtype=np.complex128)
-        stack[local_row // size, local_row % size, local_col % size] = vals[entry]
-        if size == 1:
-            lam, vmat, wmat = stack.reshape(n_blocks, 1), np.ones_like(stack), np.ones_like(stack)
-        else:
-            lam, vmat = np.linalg.eig(stack)
-            try:
-                wmat = np.linalg.inv(vmat)
-                residual = float(np.max(np.abs((vmat * lam[:, None, :]) @ wmat - stack)))
-            except np.linalg.LinAlgError:
-                residual = math.inf
-            if not residual <= EIG_CHECK_RTOL * max(scale, 1e-300):
-                warnings.warn(
-                    f"eigendecomposition of {size}-state blocks failed its check "
-                    f"(residual {residual:.3g}); falling back to whole-matrix expm",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return ExpmPropagator(h.to_dense())
-        # Block b holds the basis states perm[start + b*size : start + (b+1)*size].
-        block = perm[start:stop].reshape(n_blocks, size)
-        lam_all[block] = lam
-        v_all[block[:, :, None], block[:, None, :]] = vmat
-        w_all[block[:, :, None], block[:, None, :]] = wmat
-        start = stop
-    return EigPropagator([n], [(lam_all, v_all, w_all)])
+    scale = float(np.max(np.abs(dense)))
+    lam = np.empty(n, dtype=np.complex128)
+    vmat, wmat = np.zeros((2, n, n), dtype=np.complex128)
+    for states in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
+        block = np.ix_(states, states)
+        sub = dense[block]
+        if states.size == 1:
+            lam[states], vmat[block], wmat[block] = sub[0], 1.0, 1.0
+            continue
+        values, vectors = np.linalg.eig(sub)
+        try:
+            inverse = np.linalg.inv(vectors)
+            residual = float(np.max(np.abs((vectors * values) @ inverse - sub)))
+        except np.linalg.LinAlgError:
+            residual = math.inf
+        if not residual <= EIG_CHECK_RTOL * max(scale, 1e-300):
+            warnings.warn(
+                f"eigendecomposition of {states.size}-state blocks failed its check "
+                f"(residual {residual:.3g}); falling back to expm of the {n}-state matrix",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return ExpmPropagator(dense)
+        lam[states], vmat[block], wmat[block] = values, vectors, inverse
+    return EigPropagator([n], [(lam, vmat, wmat)])
 
 
 class PropagatorCache:
@@ -366,10 +343,10 @@ class PropagatorCache:
     ``EigPropagator`` with one factor per site, built by ``make_propagator``
     from that site's Hamiltonian alone, on a one-site register. When every
     site is diagonal the whole-space ``DiagonalPropagator`` is returned,
-    which keeps closed-form survival times. A site whose eigendecomposition
-    fails its check is reported with a ``RuntimeWarning`` naming it, and
-    that site's factor falls back to an ``ExpmPropagator`` of its own
-    Hamiltonian.
+    which keeps closed-form survival times. When a site's eigendecomposition
+    fails its check, ``make_propagator``'s ``RuntimeWarning`` is re-emitted
+    prefixed with the site's number, and the ``ExpmPropagator`` of the
+    site's own Hamiltonian that it returns becomes that site's factor.
     """
 
     def __init__(self, space: Register, params: PhysicalParams, tier="effective"):
@@ -413,20 +390,14 @@ class PropagatorCache:
             return make_propagator(self.hamiltonian(key))
         factors = []
         for site, h in enumerate(site_hs):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    prop = make_propagator(h)
-            except RuntimeWarning as exc:
-                warnings.warn(
-                    f"site {site}: {str(exc).partition(';')[0]}; falling back to expm of "
-                    f"this site's {h.dim}-state Hamiltonian",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                factors.append(ExpmPropagator(h.to_dense()))
-            else:
-                factors.append((prop.diag, None, None) if isinstance(prop, DiagonalPropagator) else prop.factors[0])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                prop = make_propagator(h)
+            for w in caught:
+                warnings.warn(f"site {site}: {w.message}", w.category, stacklevel=3)
+            if not isinstance(prop, ExpmPropagator):  # the fallback is a factor as it is
+                prop = (prop.diag, None, None) if isinstance(prop, DiagonalPropagator) else prop.factors[0]
+            factors.append(prop)
         return EigPropagator([h.dim for h in site_hs], factors)
 
 

@@ -80,17 +80,20 @@ class EnsembleConfig:
     params: PhysicalParams | None = None
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
+        def number(value, kind):  # bool is an Integral, but not a count or a time
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        if not (isinstance(self.backend, str) and self.backend in BACKENDS):
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}")
-        if self.params is None and self.profile not in PROFILES:
+        if not (isinstance(self.profile, str) and (self.params is not None or self.profile in PROFILES)):
             raise ValueError(f"profile must be one of {', '.join(sorted(PROFILES))}")
-        if not (isinstance(self.trajectories, Integral) and self.trajectories >= 1):
+        if not (number(self.trajectories, Integral) and self.trajectories >= 1):
             raise ValueError("trajectories must be a positive integer")
-        if not (isinstance(self.max_repetitions, Integral) and self.max_repetitions >= 0):
+        if not (number(self.max_repetitions, Integral) and self.max_repetitions >= 0):
             raise ValueError("max_repetitions must be an integer >= 0")
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if not (number(self.seed, Integral) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
-        if not (isinstance(self.detect_lifetimes, Real) and 0.0 < self.detect_lifetimes < math.inf):
+        if not (number(self.detect_lifetimes, Real) and 0.0 < self.detect_lifetimes < math.inf):
             raise ValueError("detect_lifetimes must be finite and positive")
         amps = self.amp_in
         if amps is not None and not (
@@ -196,7 +199,7 @@ def compute_stats(summaries, max_repetitions) -> dict:
 # -- density-matrix references ----------------------------------------------------
 
 
-def master_equation_reference(h: SparseOp, channels, rho0, t_points, rtol=1e-8, atol=1e-8):
+def master_equation_reference(h: SparseOp, channels, rho0, t_points):
     """Integrate the unconditional evolution matching the jump unraveling.
 
     d(rho)/dt = -i (H rho - rho H^dag) + sum_c C rho C^dag, with H carrying
@@ -223,8 +226,8 @@ def master_equation_reference(h: SparseOp, channels, rho0, t_points, rtol=1e-8, 
         np.asarray(rho0, dtype=np.complex128).ravel(),
         t_eval=t_points,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-8,
+        atol=1e-8,
     )
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")

@@ -424,7 +424,7 @@ class _Run:
         if self.trace is not None:
             self.trace({"event": event, "t": self.clock, **fields})
 
-    def pulses(self, psi, drives, stage, quiet=True):
+    def pulses(self, psi, drives, stage):
         psi, clicks, span = self.backend.pulse_block(psi, drives, self.rng, t0=self.clock, stage=stage)
         self.clock += span
         self.rec.clicks.extend(clicks)
@@ -433,8 +433,7 @@ class _Run:
         self.rec.leakage = max(self.rec.leakage, leak)
         if leak > LEAKAGE_LIMIT:
             raise _Abort(INVALID, "population stranded at the photon cutoff")
-        if quiet:
-            _require_quiet(clicks, stage)
+        _require_quiet(clicks, stage)
         return psi
 
     def window(self, psi, stage, stop_after_first=False):

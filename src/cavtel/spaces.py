@@ -221,6 +221,8 @@ class Register:
 
     def reduced_density(self, psi, site) -> np.ndarray:
         """Density matrix of one site, the rest traced out."""
+        if not 0 <= site < len(self.sites):
+            raise IndexError("site out of range")
         dims = [s.dim for s in self.sites]
         tensor = psi.reshape(dims)
         tensor = np.moveaxis(tensor, site, 0)

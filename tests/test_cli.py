@@ -121,6 +121,13 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"input": ["a", 1]}, "input"),
         ({"trace": 2}, "trace"),
         ({"output_dir": 5}, "output_dir"),
+        ({"seed": 7.5}, "seed"),
+        ({"trajectories": 2.9}, "trajectories"),
+        ({"trajectories": True}, "trajectories"),
+        ({"max_repetitions": 1.7}, "max_repetitions"),
+        ({"detect_lifetimes": True}, "detect_lifetimes"),
+        ({"profile": ["desk"]}, "profile"),
+        ({"backend": ["ideal"]}, "backend"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):

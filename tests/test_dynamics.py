@@ -169,13 +169,9 @@ def test_make_propagator_picks_structure():
         assert isinstance(make_propagator(jordan), ExpmPropagator)
 
 
-def test_make_propagator_never_densifies(monkeypatch):
+def test_make_propagator_keeps_blocks_apart():
     # Two flips on the desk register: 800 states in 8 blocks of 100.
-    def no_dense(op):
-        raise AssertionError("dense matrix built for a propagator")
-
     h = effective_hamiltonian(protocol_space(cutoff=4), desk_params(), [(0, 0, True, True), (1, 1, True, True)])
-    monkeypatch.setattr(SparseOp, "to_dense", no_dense)
     prop = make_propagator(h)
     assert isinstance(prop, EigPropagator)
     [(lam, vmat, wmat)] = prop.factors
@@ -265,6 +261,17 @@ def _embedded_sum(site_hs):
     return scipy.sparse.csr_array(total)
 
 
+def _limit_dense(monkeypatch, limit):
+    """Fail on any dense matrix of more than ``limit`` states."""
+    real_dense = SparseOp.to_dense
+
+    def bounded(op):
+        assert op.dim <= limit, f"dense {op.dim}-state matrix"
+        return real_dense(op)
+
+    monkeypatch.setattr(SparseOp, "to_dense", bounded)
+
+
 DESK_CONFIGS = {
     "lasers_off": (),
     "one_laser": [(0, 1, True, False)],
@@ -290,10 +297,22 @@ def test_site_hamiltonians_sum_to_the_register_hamiltonian(tier, config):
     assert isinstance(prop, DiagonalPropagator if diagonal else EigPropagator)
 
 
-def test_full_tier_two_flips_builds_per_site():
+def test_effective_builds_stay_site_sized(monkeypatch):
+    # The lasers-off register is diagonal and read off its triplets; the
+    # two-flip build densifies one site's 40 states at most, never all 800.
+    cache = PropagatorCache(protocol_space(cutoff=4), desk_params(), "effective")
+    _limit_dense(monkeypatch, 40)
+    assert isinstance(cache.get(()), DiagonalPropagator)
+    prop = cache.get(DESK_CONFIGS["two_flips"])
+    assert isinstance(prop, EigPropagator)
+    assert prop.shapes == [(1, 40, 20), (40, 20, 1)]
+
+
+def test_full_tier_two_flips_builds_per_site(monkeypatch):
     # 3,888 states; the whole-register blocks here hold 1,152 states each.
     cache = PropagatorCache(protocol_space(levels=3, cutoff=3), desk_params(), "full")
     lasers = DESK_CONFIGS["two_flips"]
+    _limit_dense(monkeypatch, 108)
     prop = cache.get(lasers)
     assert isinstance(prop, EigPropagator)
     assert prop.shapes == [(1, 108, 36), (108, 36, 1)]
@@ -331,13 +350,7 @@ def test_full_tier_fallback_stays_per_site(monkeypatch):
     # larger than one site's 108 states is ever built.
     cache = PropagatorCache(protocol_space(levels=3, cutoff=3), desk_params(), "full")
     monkeypatch.setattr(dynamics, "EIG_CHECK_RTOL", -1.0)
-    real_dense = SparseOp.to_dense
-
-    def site_sized(op):
-        assert op.dim <= 108, f"dense {op.dim}-state matrix"
-        return real_dense(op)
-
-    monkeypatch.setattr(SparseOp, "to_dense", site_sized)
+    _limit_dense(monkeypatch, 108)
     lasers = DESK_CONFIGS["two_flips"]
     with pytest.warns(RuntimeWarning) as record:
         prop = cache.get(lasers)

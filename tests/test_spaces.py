@@ -144,8 +144,11 @@ TWO_THREE_DIGIT_SITES = Register([SiteShape(2, 2, 1)] * 2)
         (lambda reg: reg.site_ket(-1, "100"), IndexError, "site out of range"),
         (lambda reg: reg.site_ket(2, "100"), IndexError, "site out of range"),
         (lambda reg: reg.index(((1, 0, 0), (0, 0, 0), (0, 0, 0))), ValueError, "wrong number of sites"),
+        (lambda reg: reg.reduced_density(reg.ket("100;010"), -1), IndexError, "site out of range"),
+        (lambda reg: reg.reduced_density(reg.ket("100;010"), 2), IndexError, "site out of range"),
     ],
-    ids=["site_ket_short", "site_ket_long", "site_ket_site_-1", "site_ket_site_2", "index_extra_site"],
+    ids=["site_ket_short", "site_ket_long", "site_ket_site_-1", "site_ket_site_2", "index_extra_site",
+         "reduced_density_site_-1", "reduced_density_site_2"],
 )
 def test_malformed_labels_are_rejected(call, error, message):
     with pytest.raises(error, match=message):
