@@ -32,6 +32,9 @@ MODULUS_TOL = 2e-2
 PHASE_TOL = 5e-2
 AMPLITUDE_FLOOR = 1e-3
 PHASE_FLOOR = 5e-2
+# The ideal exactness check: Haar inputs times protocol seeds, 12 runs in milliseconds.
+EXACTNESS_INPUTS = 4
+EXACTNESS_SEEDS = 3
 
 
 @dataclass
@@ -192,16 +195,16 @@ def check_pulse_agreement(params: PhysicalParams) -> list[CheckOutcome]:
     ]
 
 
-def check_ideal_exactness(params: PhysicalParams, inputs=4, seeds=3) -> list[CheckOutcome]:
+def check_ideal_exactness(params: PhysicalParams) -> list[CheckOutcome]:
     backend = make_backend("ideal", params)
     worst = 1.0
     runs = 0
     from .experiment import haar_input, receiver_fidelity
 
     sampler = np.random.default_rng(11)
-    for _ in range(inputs):
+    for _ in range(EXACTNESS_INPUTS):
         a, b = haar_input(sampler)
-        for seed in range(seeds):
+        for seed in range(EXACTNESS_SEEDS):
             rng = np.random.default_rng(1000 + seed)
             rec = run_protocol(backend, a, b, rng)
             if rec.outcome in SUCCESS_OUTCOMES:

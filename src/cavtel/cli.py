@@ -53,11 +53,14 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _convert(kind, key, raw):
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: {raw!r} is not a valid {kind.__name__}") from None
+def _number(key, raw) -> float:
+    """A config file's number: a JSON int or float, not a boolean or a string."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"{key}: {raw!r} is not a number")
 
 
 def _parse_input(raw):
@@ -65,7 +68,7 @@ def _parse_input(raw):
         return None
     if not isinstance(raw, (list, tuple)) or len(raw) not in (2, 4):
         raise ConfigError("input must be [re_a, im_a, re_b, im_b] or [a, b]")
-    vals = [_convert(float, "input", v) for v in raw]
+    vals = [_number("input", v) for v in raw]
     if len(vals) == 2:
         return complex(vals[0]), complex(vals[1])
     return complex(vals[0], vals[1]), complex(vals[2], vals[3])
@@ -87,7 +90,7 @@ def _build_params(data) -> PhysicalParams | None:
     print("note: params_mhz values are plain frequencies in MHz, converted to rad/us by 2*pi", file=sys.stderr)
     try:
         return PhysicalParams.from_mhz(
-            atom_decay_convention=convention, **{k: _convert(float, k, raw[k]) for k in PARAM_KEYS}
+            atom_decay_convention=convention, **{k: _number(k, raw[k]) for k in PARAM_KEYS}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

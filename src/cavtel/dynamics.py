@@ -11,26 +11,26 @@ unnormalized state is the no-jump probability. A jump fires when that norm
 falls to a uniform random threshold; the jump time is located by bisection,
 the channel drawn by Born weights, and the state renormalized.
 
-A diagonal H keeps closed-form survival times and is read off its sparse
-triplets, with no dense copy. Otherwise the states split into connected
-blocks that H never couples to each other; each block is eigendecomposed on
-its own, and the blocks are laid out as one dense V diag(exp(-i lam t)) W
-factor in basis order. Only a defective block falls back, with a warning,
-to a matrix exponential of H.
+H is made dense once. A diagonal H keeps closed-form survival times.
+Otherwise the states split into connected blocks that H never couples to
+each other; each block is eigendecomposed on its own, and the blocks are
+laid out as one dense V diag(exp(-i lam t)) W factor in basis order. Only a
+defective block falls back, with a warning, to a matrix exponential of H.
 
 Neither tier's no-jump Hamiltonian couples two cavity sites: only the
-detector jump operators a0 +- a1 mix them. So the protocol's propagators
-(``PropagatorCache``) hold one such factor per site, built from each site's
-Hamiltonian on a one-site register (40 and 20 states on the ``effective``
-desk register, 108 and 36 on ``full``), and ``EigPropagator`` applies them
-to the state one site axis at a time. With blocks this small the results do
-not depend on the BLAS thread count. A site that fails its
-eigendecomposition check is named in a warning, and only that site falls
-back to a matrix exponential of its own Hamiltonian.
+detector jump operators a0 +- a1 mix them. So every protocol propagator
+(``PropagatorCache``) is built from each site's Hamiltonian on a one-site
+register (40 and 20 states on the ``effective`` desk register, 108 and 36
+on ``full``): diagonal sites sum into one diagonal over the register, and
+otherwise ``EigPropagator`` applies one factor per site axis. With blocks
+this small the results do not depend on the BLAS thread count. A site that
+fails its eigendecomposition check is named in a warning, and only that
+site falls back to a matrix exponential of its own Hamiltonian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -291,22 +291,19 @@ class EigPropagator:
 def make_propagator(h: SparseOp):
     """Propagator for H, eigendecomposed one connected block at a time.
 
-    A diagonal H gives a ``DiagonalPropagator``, read off the triplets
-    without a dense copy. Otherwise each block of states that H links in
-    either direction is eigendecomposed on its own and written into one
-    dense ``(lam, V, W)`` factor in basis order, returned as a one-axis
-    ``EigPropagator``. If a block's eigenvectors do not reproduce it to
-    ``EIG_CHECK_RTOL`` (a defective block), a ``RuntimeWarning`` says so and
-    H falls back to an ``ExpmPropagator``.
+    H is made dense once; with no off-diagonal entry it gives a
+    ``DiagonalPropagator``. Otherwise each block of states that H links
+    either way is eigendecomposed on its own into one dense ``(lam, V, W)``
+    factor in basis order, returned as a one-axis ``EigPropagator``. A
+    defective block, whose eigenvectors do not reproduce it to
+    ``EIG_CHECK_RTOL``, warns and H falls back to an ``ExpmPropagator``.
     """
     n = h.dim
-    if np.array_equal(h.rows, h.cols):
-        diag = np.zeros(n, dtype=np.complex128)
-        np.add.at(diag, h.rows, h.vals)
-        return DiagonalPropagator(diag)
     dense = h.to_dense()
     links = dense != 0  # csgraph's float cast would drop purely imaginary links
     np.fill_diagonal(links, False)
+    if not links.any():
+        return DiagonalPropagator(dense.diagonal().copy())
     _, labels = scipy.sparse.csgraph.connected_components(links, directed=False)
     scale = float(np.max(np.abs(dense)))
     lam = np.empty(n, dtype=np.complex128)
@@ -339,14 +336,14 @@ class PropagatorCache:
     """Propagators per laser configuration for one space and model tier.
 
     Neither tier's Hamiltonian couples two sites (the cavities meet only at
-    the detectors, through the jump operators), so each configuration is an
-    ``EigPropagator`` with one factor per site, built by ``make_propagator``
-    from that site's Hamiltonian alone, on a one-site register. When every
-    site is diagonal the whole-space ``DiagonalPropagator`` is returned,
-    which keeps closed-form survival times. When a site's eigendecomposition
-    fails its check, ``make_propagator``'s ``RuntimeWarning`` is re-emitted
-    prefixed with the site's number, and the ``ExpmPropagator`` of the
-    site's own Hamiltonian that it returns becomes that site's factor.
+    the detectors, through the jump operators), so ``make_propagator``
+    builds each site from its own Hamiltonian on a one-site register. If
+    every site is diagonal, their diagonals summed over the register grid
+    make one ``DiagonalPropagator`` with closed-form survival times; else an
+    ``EigPropagator`` takes one factor per site. A site that fails its
+    eigendecomposition check has ``make_propagator``'s ``RuntimeWarning``
+    re-emitted prefixed with its number, and the ``ExpmPropagator`` of its
+    own Hamiltonian that comes back becomes its factor.
     """
 
     def __init__(self, space: Register, params: PhysicalParams, tier="effective"):
@@ -358,9 +355,6 @@ class PropagatorCache:
         self._build = effective_hamiltonian if tier == "effective" else full_hamiltonian
         self._site_spaces = [Register([shape]) for shape in space.sites]
         self._cache = {}
-
-    def hamiltonian(self, lasers=()) -> SparseOp:
-        return self._build(self.space, self.params, lasers)
 
     def site_hamiltonians(self, lasers=()) -> list[SparseOp]:
         """Each site's H on its own one-site register, its laser rows moved to site 0.
@@ -386,19 +380,21 @@ class PropagatorCache:
 
     def _propagator(self, key):
         site_hs = self.site_hamiltonians(key)
-        if all(np.array_equal(h.rows, h.cols) for h in site_hs):
-            return make_propagator(self.hamiltonian(key))
-        factors = []
+        props = []
         for site, h in enumerate(site_hs):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                prop = make_propagator(h)
+                props.append(make_propagator(h))
             for w in caught:
                 warnings.warn(f"site {site}: {w.message}", w.category, stacklevel=3)
-            if not isinstance(prop, ExpmPropagator):  # the fallback is a factor as it is
-                prop = (prop.diag, None, None) if isinstance(prop, DiagonalPropagator) else prop.factors[0]
-            factors.append(prop)
-        return EigPropagator([h.dim for h in site_hs], factors)
+        diags = [prop.diag for prop in props if isinstance(prop, DiagonalPropagator)]
+        if len(diags) == len(props):  # site 0's digits are the most significant: outermost
+            return DiagonalPropagator(functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), diags))
+        return EigPropagator([h.dim for h in site_hs], [
+            prop.factors[0] if isinstance(prop, EigPropagator)
+            else (prop.diag, None, None) if isinstance(prop, DiagonalPropagator)
+            else prop  # an ExpmPropagator fallback is a factor as it is
+            for prop in props])
 
 
 # -- trajectory stepping ----------------------------------------------------------
@@ -429,7 +425,6 @@ class JumpRun:
     psi: np.ndarray
     clicks: list[Click] = field(default_factory=list)
     elapsed: float = 0.0
-    stopped_early: bool = False
 
 
 def _bisect_jump_time(propagator, psi, threshold, t_hi):
@@ -493,6 +488,5 @@ def evolve_with_jumps(
             if (stop_after_first_detector and chan.kind == "detector") or (
                 stop_on_emission and chan.kind == "emission"
             ):
-                run.stopped_early = True
                 return run
     return run

@@ -26,7 +26,7 @@ from .dynamics import Segment, evolve_with_jumps, make_propagator
 from .params import TWO_PI, PROFILES, PhysicalParams
 from .protocol import BACKENDS, SUCCESS_OUTCOMES, ProtocolRecord, make_backend, run_protocol
 from .pulses import DETECT_LIFETIMES, solve_pulse_times
-from .spaces import Register, SparseOp, normalized
+from .spaces import Register, SparseOp, norm2, normalized
 
 
 def haar_input(rng) -> tuple[complex, complex]:
@@ -248,8 +248,10 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     advances time. Its normalized states are stacked with those of up to
     ``_CHUNK`` trajectories, and each checkpoint's stack ``S`` adds
     ``S.T @ S.conj()`` to that checkpoint's sum, so memory does not grow
-    with ``n_traj``. ``n_traj`` must be an integer >= 1 and ``t_points`` a
-    1-D, finite, non-negative, non-decreasing sequence; repeats are allowed.
+    with ``n_traj``. ``n_traj`` must be an integer >= 1, ``t_points`` a
+    1-D, finite, non-negative, non-decreasing sequence (repeats are
+    allowed), and ``psi0`` a finite 1-D state of length ``h.dim`` whose
+    squared norm is 1 to within 1e-9.
     """
     if not (isinstance(n_traj, Integral) and n_traj >= 1):
         raise ValueError("n_traj must be an integer >= 1")
@@ -257,6 +259,10 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(times >= 0.0)
             and np.all(np.diff(times) >= 0.0)):
         raise ValueError("t_points must be a 1-D, finite, non-negative, non-decreasing sequence")
+    start_state = np.asarray(psi0, dtype=np.complex128)
+    if not (start_state.shape == (h.dim,) and np.all(np.isfinite(start_state))
+            and abs(norm2(start_state) - 1.0) <= 1e-9):
+        raise ValueError(f"psi0 must be a finite, normalized 1-D state of length {h.dim}")
     prop = make_propagator(h)
     dim = h.dim
     # One segment list per checkpoint, built once; None where time does not advance.
@@ -265,7 +271,6 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     for t in times:
         walks.append([Segment(float(t - t_prev), prop)] if t > t_prev else None)
         t_prev = float(t)
-    start_state = np.asarray(psi0, dtype=np.complex128)
     rhos = np.zeros((len(walks), dim, dim), dtype=np.complex128)
     states = np.empty((len(walks), _CHUNK, dim), dtype=np.complex128)
     children = np.random.SeedSequence(seed).spawn(n_traj)

@@ -13,6 +13,8 @@ counts ``0``/``0``.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +105,11 @@ class Register:
         if not self.sites:
             raise ValueError("register needs at least one site")
         # Digit layout: per site, atom digits most significant, photon last.
-        radices = []
-        for shape in self.sites:
-            radices.extend([shape.levels] * shape.atoms)
-            radices.append(shape.cutoff + 1)
+        radices = [r for shape in self.sites for r in [shape.levels] * shape.atoms + [shape.cutoff + 1]]
         self._radices = tuple(radices)
-        self.dim = int(np.prod(radices))
-        strides = np.ones(len(radices), dtype=np.int64)
-        for k in range(len(radices) - 2, -1, -1):
-            strides[k] = strides[k + 1] * radices[k + 1]
-        self._strides = strides
-        self._site_digit_offset = []
-        off = 0
-        for shape in self.sites:
-            self._site_digit_offset.append(off)
-            off += shape.atoms + 1
-        idx = np.arange(self.dim, dtype=np.int64)
-        self._digits = np.empty((len(radices), self.dim), dtype=np.int64)
-        rem = idx
-        for k, r in enumerate(radices):
-            self._digits[k] = (rem // strides[k]) % r
+        self.dim = math.prod(radices)
+        self._site_digit_offset = list(itertools.accumulate([s.atoms + 1 for s in self.sites[:-1]], initial=0))
+        self._digits = np.array(np.unravel_index(np.arange(self.dim), radices))
 
     # -- label <-> index ---------------------------------------------------
 
@@ -153,17 +140,14 @@ class Register:
             if not 0 <= part[-1] <= shape.cutoff:
                 raise ValueError("photon count above cutoff")
             flat.extend(part)
-        return int(np.dot(self._strides, flat))
+        return int(np.ravel_multi_index(flat, self._radices))
 
     def label(self, index) -> tuple:
         if not 0 <= index < self.dim:
             raise IndexError("index out of range")
-        out = []
-        for site, shape in enumerate(self.sites):
-            off = self._site_digit_offset[site]
-            part = tuple(int(self._digits[off + k, index]) for k in range(shape.atoms + 1))
-            out.append(part)
-        return tuple(out)
+        digits = self._digits[:, index].tolist()
+        return tuple(tuple(digits[off:off + shape.atoms + 1])
+                     for off, shape in zip(self._site_digit_offset, self.sites))
 
     def parse(self, text: str) -> tuple:
         parts = text.split(";")
@@ -197,7 +181,7 @@ class Register:
 
     def stride(self, site, atom=None) -> int:
         """Index shift per unit change of one atom digit or (atom=None) the photon count."""
-        return int(self._strides[self._digit_slot(site, atom)])
+        return math.prod(self._radices[self._digit_slot(site, atom) + 1:])
 
     # -- operators -----------------------------------------------------------
 
@@ -239,13 +223,11 @@ class Register:
         radix = [shape.levels] * shape.atoms + [shape.cutoff + 1]
         if len(part) != len(radix):
             raise ValueError("label arity mismatch")
-        idx = 0
         for d, r in zip(part, radix):
             if not 0 <= d < r:
                 raise ValueError("digit out of range")
-            idx = idx * r + d
         v = np.zeros(shape.dim, dtype=np.complex128)
-        v[idx] = 1.0
+        v[np.ravel_multi_index(part, radix)] = 1.0
         return v
 
 

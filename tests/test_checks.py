@@ -113,7 +113,7 @@ def test_pulse_agreement_rows_within_tolerance():
 
 
 def test_ideal_exactness_check():
-    rows = check_ideal_exactness(reference_params(), inputs=2, seeds=2)
+    rows = check_ideal_exactness(reference_params())
     assert len(rows) == 1
     assert rows[0].passed
 

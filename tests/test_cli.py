@@ -128,6 +128,10 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"detect_lifetimes": True}, "detect_lifetimes"),
         ({"profile": ["desk"]}, "profile"),
         ({"backend": ["ideal"]}, "backend"),
+        ({"params_mhz": {**REFERENCE_MHZ, "rabi_weak": True}}, "rabi_weak"),
+        ({"params_mhz": {**REFERENCE_MHZ, "cavity_coupling": "0.07"}}, "cavity_coupling"),
+        ({"input": [True, 0]}, "input"),
+        ({"input": ["1", "0"]}, "input"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):

@@ -288,18 +288,21 @@ def test_site_hamiltonians_sum_to_the_register_hamiltonian(tier, config):
     lasers = DESK_CONFIGS[config]
     site_hs = cache.site_hamiltonians(lasers)
     assert [h.dim for h in site_hs] == ([40, 20] if tier == "effective" else [108, 36])
-    h = cache.hamiltonian(lasers)
+    build = effective_hamiltonian if tier == "effective" else full_hamiltonian
+    h = build(cache.space, cache.params, lasers)
     whole = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
     gap = (whole - _embedded_sum(site_hs)).data
     assert np.max(np.abs(gap), initial=0.0) <= 1e-12 * np.max(np.abs(whole.data))
     prop = cache.get(lasers)
     diagonal = tier == "effective" and config == "lasers_off"
     assert isinstance(prop, DiagonalPropagator if diagonal else EigPropagator)
+    if diagonal:  # the site diagonals, summed over the register grid, are the register's to the bit
+        assert prop.diag.tobytes() == make_propagator(h).diag.tobytes()
 
 
 def test_effective_builds_stay_site_sized(monkeypatch):
-    # The lasers-off register is diagonal and read off its triplets; the
-    # two-flip build densifies one site's 40 states at most, never all 800.
+    # Every configuration, lasers-off included, is built per site: no build
+    # densifies more than one site's 40 states, never all 800.
     cache = PropagatorCache(protocol_space(cutoff=4), desk_params(), "effective")
     _limit_dense(monkeypatch, 40)
     assert isinstance(cache.get(()), DiagonalPropagator)
@@ -316,7 +319,7 @@ def test_full_tier_two_flips_builds_per_site(monkeypatch):
     prop = cache.get(lasers)
     assert isinstance(prop, EigPropagator)
     assert prop.shapes == [(1, 108, 36), (108, 36, 1)]
-    h = cache.hamiltonian(lasers)
+    h = full_hamiltonian(cache.space, cache.params, lasers)
     psi = normalized(np.random.default_rng(8).normal(size=h.dim) + 0j)
     t = 25.0 / np.max(np.abs(h.vals))  # expm_multiply's cost grows with |H| t
     assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
@@ -339,7 +342,7 @@ def test_site_check_failure_warns_and_falls_back(monkeypatch, params):
     diagonal, fallback = prop.factors
     assert diagonal[1] is None
     assert isinstance(fallback, ExpmPropagator) and fallback.h.shape == (8, 8)
-    h = cache.hamiltonian(lasers)
+    h = effective_hamiltonian(cache.space, cache.params, lasers)
     psi = normalized(np.random.default_rng(2).normal(size=space.dim) + 1j)
     t = 3.0 / np.max(np.abs(h.vals))
     assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
@@ -356,7 +359,7 @@ def test_full_tier_fallback_stays_per_site(monkeypatch):
         prop = cache.get(lasers)
     assert [str(w.message)[:7] for w in record] == ["site 0:", "site 1:"]
     assert [factor.h.shape for factor in prop.factors] == [(108, 108), (36, 36)]
-    h = cache.hamiltonian(lasers)
+    h = full_hamiltonian(cache.space, cache.params, lasers)
     psi = normalized(np.random.default_rng(8).normal(size=h.dim) + 0j)
     t = 25.0 / np.max(np.abs(h.vals))
     assert np.max(np.abs(prop.evolve(psi, t) - _expm_multiply(h, psi, t))) <= 1e-10
@@ -424,15 +427,11 @@ def test_stop_after_first_detector(params):
     space, prop, channels = _photon_setup(params)
     psi = space.ket("02")
     rng = np.random.default_rng(9)
-    run = evolve_with_jumps(
-        psi,
-        [Segment(50.0 / params.cavity_decay, prop)],
-        channels,
-        rng,
-        stop_after_first_detector=True,
-    )
-    assert run.stopped_early
+    horizon = 50.0 / params.cavity_decay
+    run = evolve_with_jumps(psi, [Segment(horizon, prop)], channels, rng, stop_after_first_detector=True)
+    # Two photons, but the walk ends at the first click, long before the horizon.
     assert len(run.clicks) == 1
+    assert run.elapsed == run.clicks[0].time < horizon
 
 
 def test_emission_click_stops_walk(params):
@@ -443,8 +442,8 @@ def test_emission_click_stops_walk(params):
     # Bare excited atom with only emission channels: the first click aborts.
     horizon = 200.0 / params.atom_decay
     run = evolve_with_jumps(psi, [Segment(horizon, cache.get(()))], channels, np.random.default_rng(1))
-    assert run.stopped_early
-    assert run.clicks[0].kind == "emission"
+    assert [click.kind for click in run.clicks] == ["emission"]
+    assert run.elapsed == run.clicks[0].time < horizon
 
 
 def test_click_times_offset_by_t0(params):

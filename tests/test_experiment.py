@@ -308,6 +308,25 @@ def test_mcwf_average_rejects_bad_inputs(decay_system, n_traj, t_points, name):
         mcwf_density_average(h, channels, _bell_pair(space), t_points, n_traj=n_traj, seed=1)
 
 
+@pytest.mark.parametrize(
+    "make_psi0",
+    [
+        lambda psi: 2 * psi,  # trace 4 at t = 0, and jump thresholds off
+        lambda psi: np.append(psi, 0.0),  # one entry too many
+        lambda psi: psi.reshape(1, -1),
+        lambda psi: np.where(psi == 0, np.nan, psi),
+        lambda psi: psi * (1 + 1e-8),
+    ],
+    ids=["norm_2", "length", "2d", "nan", "off_by_1e-8"],
+)
+def test_mcwf_average_rejects_bad_psi0(decay_system, make_psi0):
+    # A case of test_mcwf_average_rejects_bad_inputs, kept apart so that test's ids stay.
+    space, params, h, channels = decay_system
+    psi0 = make_psi0(_bell_pair(space))
+    with pytest.raises(ValueError, match="psi0"):
+        mcwf_density_average(h, channels, psi0, [1.0], n_traj=4, seed=1)
+
+
 def test_trace_distance_reference_values():
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)

@@ -11,9 +11,12 @@ blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
 grow with time. ``PropagatorCache``'s per-site factors are checked against
 ``expm_multiply`` of the whole-register Hamiltonian on random registers of
 one to three sites. On random register layouts, every basis label must
-survive index, string and per-site round trips. An ensemble's first trajectories must not depend on how
-many trajectories follow them.
+survive index, string and per-site round trips, and the flat index must
+count the labels in lexicographic order. An ensemble's first trajectories
+must not depend on how many trajectories follow them.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from cavtel.dynamics import (
     DiagonalPropagator,
     EigPropagator,
     PropagatorCache,
+    effective_hamiltonian,
+    full_hamiltonian,
     make_propagator,
     survival_solve,
 )
@@ -322,7 +327,7 @@ def lit_registers(draw):
 def test_site_factors_match_expm_multiply(problem):
     tier, space, lasers, seed, tau = problem
     cache = PropagatorCache(space, reference_params(), tier)
-    h = cache.hamiltonian(lasers)
+    h = (effective_hamiltonian if tier == "effective" else full_hamiltonian)(cache.space, cache.params, lasers)
     m = scipy.sparse.csr_array((h.vals, (h.rows, h.cols)), shape=(h.dim, h.dim))
     t = tau / np.max(np.abs(m.data))  # expm_multiply's cost grows with |H| t
     rng = np.random.default_rng(seed)
@@ -342,6 +347,9 @@ def test_labels_round_trip(shapes, data):
     reg = Register(shapes)
     labels = [reg.label(i) for i in range(reg.dim)]
     assert [reg.index(label) for label in labels] == list(range(reg.dim))
+    # Leftmost digit most significant: the flat index counts labels in lexicographic order.
+    radices = [r for shape in shapes for r in [shape.levels] * shape.atoms + [shape.cutoff + 1]]
+    assert [sum(label, ()) for label in labels] == list(itertools.product(*map(range, radices)))
     for label in labels:
         assert reg.parse(";".join("".join(map(str, part)) for part in label)) == label
     # A product ket's site marginals are that site's own basis kets.
