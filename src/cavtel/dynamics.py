@@ -8,8 +8,10 @@ rates from :mod:`cavtel.params`.
 Evolution between quantum jumps uses the non-Hermitian Hamiltonian whose
 anti-Hermitian part matches the decay channels: the squared norm of the
 unnormalized state is the no-jump probability. A jump fires when that norm
-falls to a uniform random threshold; the jump time is located by bisection,
-the channel drawn by Born weights, and the state renormalized.
+falls to a uniform random threshold. Under a diagonal H the survival is a
+sum of exponentials, and ``survival_solve`` finds the jump time by Newton
+steps on its logarithm; otherwise it is located by bisection. The channel
+is drawn by Born weights, and the state renormalized.
 
 H is made dense once. A diagonal H keeps closed-form survival times.
 Otherwise the states split into connected blocks that H never couples to
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -177,24 +180,44 @@ def decay_balance_defect(h: SparseOp, channels) -> float:
 
 
 def survival_solve(weights, rates, u, t_max):
-    """First t in (0, t_max] where sum_i weights[i]*exp(-rates[i]*t) == u.
+    """First t in [0, t_max] where S(t) = sum_i weights[i]*exp(-rates[i]*t) falls to u.
 
-    The sum is the squared norm of a state under diagonal decay; it is
-    monotone nonincreasing. Returns -1.0 when the survival at t_max still
-    exceeds u (no jump inside the window). Bisection to 1e-12 relative.
-    The sum runs over plain floats, so callers should pass the weights
-    already summed per distinct rate: a handful of terms, not one per
-    basis state.
+    S is the squared norm of a state under diagonal decay, so log S is
+    convex and nonincreasing: Newton steps on log S(t) - log u from t = 0
+    rise to the root without passing it, and need no bracket. ``t_max`` may
+    be ``math.inf``. Returns 0.0 when S(0) <= u, and -1.0 when u is at or
+    below the weight at rate 0 (so also when u <= 0), when an iterate passes
+    ``t_max``, or when the slope underflows to 0. Stops once a step is at
+    most 1e-13 t, typically after 4 to 6 evaluations; raises
+    ``RuntimeError`` after 100. Callers should pass the weights already
+    summed per distinct rate: the sum runs over plain floats.
     """
-    terms = [(w, r) for w, r in zip(np.asarray(weights, dtype=float).tolist(),
-                                    np.asarray(rates, dtype=float).tolist()) if w != 0.0]
-
-    def survival(t):
-        return sum([w * math.exp(-r * t) for w, r in terms])
-
-    if survival(t_max) > u:
+    terms = [(w, r, r * w) for w, r in zip(np.asarray(weights, dtype=float).tolist(),
+                                           np.asarray(rates, dtype=float).tolist()) if w != 0.0]
+    if sum([w for w, _, _ in terms]) <= u:
+        return 0.0
+    # S(t) falls toward the weight at rate 0 but never reaches it.
+    if u <= sum([w for w, r, _ in terms if r == 0.0]):
         return -1.0
-    return _bisect(survival, u, t_max, 1e-12 * t_max)
+    log_u = math.log(u)
+    t_max = min(t_max, sys.float_info.max)  # an overflowing step must still exceed it
+    t = 0.0
+    for _ in range(100):
+        s = slope = 0.0
+        for w, r, rw in terms:
+            e = math.exp(-r * t)
+            s += w * e
+            slope += rw * e
+        if slope <= 0.0:
+            return -1.0
+        # A step below 0 means rounding alone put S(t) at or under u: t is the root.
+        step = max((math.log(s) - log_u) * s / slope, 0.0)
+        t += step
+        if t > t_max:
+            return -1.0
+        if step <= 1e-13 * t:
+            return t
+    raise RuntimeError(f"survival search for u={u!r} did not converge in 100 Newton steps")
 
 
 def _bisect(survival, u, t_hi, tol):

@@ -16,6 +16,7 @@ import cmath
 import csv
 import json
 import math
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Number, Real
 
@@ -37,10 +38,17 @@ def haar_input(rng) -> tuple[complex, complex]:
     return complex(math.cos(half)), complex(math.sin(half) * np.exp(1j * phase))
 
 
+# The receiver's two input-qubit basis kets, built once per register.
+_RECEIVER_KETS = weakref.WeakKeyDictionary()
+
+
 def receiver_fidelity(space: Register, psi, a, b) -> float:
     """Overlap of the receiver's reduced state with the intended qubit."""
     rho = space.reduced_density(psi, 1)
-    target = a * space.site_ket(1, "100") + b * space.site_ket(1, "010")
+    kets = _RECEIVER_KETS.get(space)
+    if kets is None:
+        kets = _RECEIVER_KETS[space] = (space.site_ket(1, "100"), space.site_ket(1, "010"))
+    target = a * kets[0] + b * kets[1]
     return float(np.real(np.conj(target) @ rho @ target))
 
 
@@ -312,17 +320,30 @@ def write_summaries_csv(path, summaries):
             )
 
 
+def _nan_to_none(value):
+    """``value`` with every NaN float, in nested dicts and lists, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _nan_to_none(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_none(item) for item in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def result_summary_dict(result: EnsembleResult) -> dict:
+    """The summary.json payload. A statistic with no successes to average
+    (NaN in ``stats``) is None, so the file is strict JSON (``null``)."""
     return {
         "config": {key: getattr(result.config, key) for key in RUN_SETTINGS},
         "params_rad_per_us": asdict(result.params),
-        "stats": result.stats,
+        "stats": _nan_to_none(result.stats),
     }
 
 
 def write_summary_json(path, result: EnsembleResult):
     with open(path, "w") as fh:
-        json.dump(result_summary_dict(result), fh, indent=2)
+        json.dump(result_summary_dict(result), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -204,7 +204,18 @@ def reset_target_state(space: Register, rules: PhaseRules, record: ProtocolRecor
     return normalized(psi)
 
 
-class IdealBackend:
+class _Backend:
+    """What every backend shares: its protocol register and start state."""
+
+    def __init__(self, space: Register):
+        self.space = space
+        self._start_kets = (space.ket("1010;110"), space.ket("0110;110"))
+
+    def initial_state(self, a, b) -> np.ndarray:
+        return normalized(a * self._start_kets[0] + b * self._start_kets[1])
+
+
+class IdealBackend(_Backend):
     """Closed-form engine: intended pulse angles, detection as an exact
     photon-number measurement with exponentially sampled click times."""
 
@@ -213,17 +224,13 @@ class IdealBackend:
     def __init__(self, params: PhysicalParams, times: PulseTimes | None = None):
         self.params = params
         self.times = times or solve_pulse_times(params)
-        self.space = protocol_space()
+        super().__init__(protocol_space())
         self.engine = AnalyticEngine(self.space, params)
         self._ports = [ch.op for ch in detector_channels(self.space, params)]
         # Each photon sector decays as one term of the survival sum.
         self._sectors = int(self.engine.total_photons.max()) + 1
         self._sector_rates = 2.0 * params.cavity_decay * np.arange(self._sectors)
         self._idle_factors = {}
-
-    def initial_state(self, a, b) -> np.ndarray:
-        psi = a * self.space.ket("1010;110") + b * self.space.ket("0110;110")
-        return normalized(psi)
 
     def _idle_factor(self, site, t):
         # In-block waits take a few fixed durations per drive set, so their
@@ -250,17 +257,6 @@ class IdealBackend:
                 psi = self.engine.apply_exchange_pulse(psi, site, atom, dur, intent=PULSE_INTENT[kind])
         return psi, [], span
 
-    def _first_click_time(self, weights, u):
-        # Widen the window until the survival falls to u inside it. The
-        # survival tends to weights[0] < u, so the bracket always closes.
-        t_max = 1.0
-        for _ in range(200):
-            t = survival_solve(weights, self._sector_rates, u, t_max)
-            if t >= 0.0:
-                return t
-            t_max *= 4.0
-        raise RuntimeError(f"click search never bracketed u={u!r} above the no-click weight {weights[0]!r}")
-
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
         """Detection in the long-window limit: each photon is eventually
         seen, so click multiplicity measures the total photon number."""
@@ -274,7 +270,8 @@ class IdealBackend:
             if u <= still:
                 psi = normalized(engine.project_sector(psi, 0))
                 break
-            dt = self._first_click_time(weights, u)
+            # u above the no-click weight puts the root at a finite time.
+            dt = survival_solve(weights, self._sector_rates, u, math.inf)
             tilde = engine.apply_wait(psi, dt)
             plus, minus = self._ports[0].apply(tilde), self._ports[1].apply(tilde)
             w_plus, w_minus = norm2(plus), norm2(minus)
@@ -297,7 +294,7 @@ class IdealBackend:
         return 0.0
 
 
-class NumericBackend:
+class NumericBackend(_Backend):
     """Monte Carlo wave functions under the reduced or three-level model."""
 
     def __init__(self, params: PhysicalParams, times: PulseTimes | None = None, tier="effective",
@@ -311,15 +308,11 @@ class NumericBackend:
             # Pulse residue parks ~1e-5 population three rungs up after a failed
             # round; one rung beyond that keeps the guard level quiet.
             cutoff = 4 if tier == "effective" else 3
-        self.space = protocol_space(levels=levels, cutoff=cutoff)
+        super().__init__(protocol_space(levels=levels, cutoff=cutoff))
         self.cache = PropagatorCache(self.space, params, tier)
         self.channels = detector_channels(self.space, params)
         if tier == "full":
             self.channels = self.channels + emission_channels(self.space, params)
-
-    def initial_state(self, a, b) -> np.ndarray:
-        psi = a * self.space.ket("1010;110") + b * self.space.ket("0110;110")
-        return normalized(psi)
 
     def _segments(self, drives, stage):
         """Split a block of end-aligned drives at each drive's start time."""

@@ -1,5 +1,6 @@
 """Hamiltonian builders, propagators, and the jump-sampling walk."""
 
+import math
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from cavtel.dynamics import (
     full_hamiltonian,
     make_propagator,
     normalize_lasers,
+    survival_solve,
 )
 from cavtel.params import desk_params, reference_params
 from cavtel.protocol import protocol_space
@@ -216,6 +218,34 @@ def test_diagonal_survival_time_closed_form():
     t = prop.survival_time(psi, u, 1e4)
     assert t == pytest.approx(np.log(1.0 / u) / (2 * kappa), rel=1e-8)
     assert prop.survival_time(psi, 1e-9, 1.0) == -1.0
+
+
+def test_survival_solve_edge_cases():
+    floored_w, floored_r = [0.3, 0.7], [0.0, 2.0]
+    # Survival already at or under u: the jump is now.
+    assert survival_solve(floored_w, floored_r, 1.0, 5.0) == 0.0
+    assert survival_solve([0.4, 0.6], [1.0, 2.0], 1.0, 5.0) == 0.0
+    # u <= 0 is never reached, even with nothing at rate 0.
+    assert survival_solve([1.0], [0.5], 0.0, 5.0) == -1.0
+    assert survival_solve([1.0], [0.5], -0.1, math.inf) == -1.0
+    # An unbounded window still ends at the rate-0 floor, u on it included.
+    for u in (0.3, 0.25, 1e-300):
+        assert survival_solve(floored_w, floored_r, u, math.inf) == -1.0
+    # All weight at rate 0, above u: the survival never moves.
+    assert survival_solve([0.5, 0.5], [0.0, 0.0], 0.5, math.inf) == -1.0
+    # A root past the largest float is no jump, not an infinite time.
+    assert survival_solve([1.0], [1e-310], 0.5, math.inf) == -1.0
+    # u one ulp under S(0) = 1: the root is within rounding of 0, and a
+    # rounding-sized step back must not make it a negative time.
+    t = survival_solve([0.3, 0.7], [1.0, 2.0], math.nextafter(1.0, 0.0), 5.0)
+    assert 0.0 <= t < 1e-15
+
+
+@pytest.mark.parametrize("t_max", [1e4, math.inf])
+@pytest.mark.parametrize("w,r,u", [(1.0, 0.8, 0.3), (0.6, 2e-3, 1e-6), (1.0, 50.0, 0.999)])
+def test_survival_solve_single_rate_is_the_log_formula(w, r, u, t_max):
+    want = math.log(w / u) / r
+    assert survival_solve([w], [r], u, t_max) == pytest.approx(want, rel=1e-12)
 
 
 def test_propagator_cache_reuses_and_validates(params):

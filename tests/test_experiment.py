@@ -1,6 +1,7 @@
 """Ensemble runner, statistics, density-matrix references, and exports."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -159,6 +160,36 @@ def _summary(index, outcome, reps, fid):
         leakage=0.0,
         elapsed=1.0,
     )
+
+
+@pytest.mark.parametrize("backend,profile", [("ideal", "reference"), ("effective", "desk")])
+def test_register_kets_are_built_once_per_ensemble(monkeypatch, backend, profile):
+    # The start kets and the receiver's target kets are constants of the
+    # register: later trajectories look up no label.
+    calls = []
+    for name in ("index", "site_ket"):
+        def counted(self, *args, _method=getattr(Register, name), _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(Register, name, counted)
+    config = EnsembleConfig(backend=backend, profile=profile, trajectories=1, seed=5)
+    run_ensemble(config)
+    first = sorted(calls)
+    assert first == ["index", "index", "site_ket", "site_ket"]
+    calls.clear()
+    res = run_ensemble(dataclasses.replace(config, trajectories=12))
+    assert sum(s.succeeded for s in res.summaries) > 1
+    assert sorted(calls) == first
+
+
+def test_ideal_insurance_follows_one_minus_two_to_the_minus_k():
+    # Each round heralds with probability 1/2, so success within k
+    # repetitions is 1 - 2^-(k+1); every P[k] must sit within 3 of its own
+    # standard errors of it.
+    stats = run_ensemble(EnsembleConfig(backend="ideal", trajectories=2000, seed=7)).stats
+    for k in stats["budgets"]:
+        p, err = stats["success_probability"][k], stats["success_probability_err"][k]
+        assert abs(p - (1.0 - 2.0 ** -(k + 1))) <= 3.0 * err, k
 
 
 def test_compute_stats_hand_example():
@@ -358,6 +389,24 @@ def test_csv_and_json_round_trip(tmp_path, small_ideal_result):
     assert payload["params_rad_per_us"]["rabi_strong"] == pytest.approx(
         reference_params().rabi_strong
     )
+    assert payload == result_summary_dict(res)
+
+
+def test_summary_json_is_strict_when_a_curve_has_no_successes(tmp_path):
+    # Seed 1's only trajectory succeeds after one reset, so budget 0 has no
+    # fidelity to average: NaN in the stats, null in the file.
+    res = run_ensemble(EnsembleConfig(backend="ideal", trajectories=1, seed=1))
+    assert math.isnan(res.stats["mean_fidelity"][0])
+    path = tmp_path / "summary.json"
+    write_summary_json(path, res)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["stats"]["mean_fidelity"][0] is None
+    assert payload["stats"]["mean_fidelity_err"][0] is None
+    assert payload["stats"]["mean_fidelity"][1] == res.stats["mean_fidelity"][1]
     assert payload == result_summary_dict(res)
 
 

@@ -2,7 +2,9 @@
 sparse operator product, the block propagator and ensemble seeding.
 
 ``survival_solve`` is fed survival sums grouped by rate (what its callers
-pass) and the same sums spread over many basis states. The closed-form
+pass) and the same sums spread over many basis states, and its roots are
+checked against a bisection of the test's own, in bounded and unbounded
+windows and for thresholds a few ulps above the rate-0 floor. The closed-form
 maps are checked against a fresh engine after the memo has been filled by
 earlier, different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
@@ -17,6 +19,7 @@ must not depend on how many trajectories follow them.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -84,8 +87,8 @@ def test_grouped_and_ungrouped_roots_agree(problem):
     if t_grouped < 0.0:
         assert t_grouped == t_flat == -1.0
         return
-    # Bisection resolution, plus the band in which the two sums' rounding
-    # can disagree about which side of u a midpoint lies on.
+    # The search's resolution, plus the band in which the two sums' rounding
+    # can disagree about where the survival crosses u.
     band = 64 * EPS / max(_slope(grouped_w, rates, t_grouped), 1e-300)
     assert abs(t_grouped - t_flat) <= 1e-12 * t_max + band
 
@@ -112,6 +115,47 @@ def test_returned_time_brackets_the_root(problem):
     slack = 16 * EPS
     assert _survival(grouped_w, rates, max(t - step, 0.0)) >= u - slack
     assert _survival(grouped_w, rates, min(t + step, t_max)) <= u + slack
+
+
+def _reference_root(weights, rates, u, t_hi):
+    """Bisection on [0, t_hi] down to adjacent floats, independent of the solver."""
+    lo, hi = 0.0, t_hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _survival(weights, rates, mid) > u:
+            lo = mid
+        else:
+            hi = mid
+
+
+@PROPERTY
+@given(survival_problems(), st.booleans(), st.one_of(st.none(), st.integers(1, 64)))
+def test_root_matches_a_reference_bisection(problem, unbounded, ulps_above_floor):
+    weights, rates, _, _, u, t_max = problem
+    floor = float(weights[rates == 0.0].sum())
+    if ulps_above_floor is not None:  # u just above the rate-0 floor: a late, ill-conditioned root
+        assume(floor > 0.0)
+        u = floor + ulps_above_floor * np.spacing(floor)
+    if unbounded:
+        t_max = math.inf
+    s_end = floor if unbounded else _survival(weights, rates, t_max)
+    assume(abs(s_end - u) > 1e-12 * (ulps_above_floor is None))
+    t = survival_solve(weights, rates, u, t_max)
+    if s_end > u:
+        assert t == -1.0
+        return
+    t_hi = t_max
+    if unbounded:
+        t_hi = 1.0
+        while _survival(weights, rates, t_hi) > u and t_hi < 1e300:
+            t_hi *= 2.0
+        assume(t_hi < 1e300)  # a subnormal rate can put the root past every float
+    assert 0.0 <= t <= t_max
+    want = _reference_root(weights, rates, u, t_hi)
+    band = 64 * EPS / max(_slope(weights, rates, want), 1e-300)
+    assert abs(t - want) <= 1e-12 * want + band
 
 
 @PROPERTY

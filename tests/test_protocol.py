@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cavtel.dynamics import survival_solve
 from cavtel.experiment import receiver_fidelity
 from cavtel.params import desk_params, reference_params
 from cavtel.protocol import (
@@ -240,11 +241,12 @@ def test_ideal_detect_window_threshold_at_the_no_click_weight(ideal):
     assert elapsed == ideal.times.detect
 
 
-def test_ideal_first_click_time_raises_when_unbracketed(ideal):
-    # The survival never falls below its zero-photon weight.
+def test_ideal_click_search_has_no_root_at_or_below_the_no_click_weight(ideal):
+    # The survival never falls below its zero-photon weight, so the
+    # unbounded click search reports no root there rather than a time.
     weights = np.array([0.5, 0.5] + [0.0] * (len(ideal._sector_rates) - 2))
-    with pytest.raises(RuntimeError, match="never bracketed"):
-        ideal._first_click_time(weights, 0.25)
+    for u in (0.25, 0.5):
+        assert survival_solve(weights, ideal._sector_rates, u, math.inf) == -1.0
 
 
 def test_ideal_phase_wait_rotates_zero_levels(ideal):
