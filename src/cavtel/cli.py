@@ -77,6 +77,8 @@ def _parse_input(raw):
 def _build_params(data) -> PhysicalParams | None:
     raw = data.get("params_mhz")
     if raw is None:
+        if "atom_decay_convention" in data:
+            raise ConfigError("atom_decay_convention applies only to params_mhz, which is not given")
         return None
     if not isinstance(raw, dict):
         raise ConfigError("params_mhz must be an object")
@@ -116,10 +118,17 @@ def _resolve(args) -> tuple[EnsembleConfig, str, str | None]:
 def _run(args):
     """Resolve the settings, make the output directory and run the ensemble."""
     config, outdir, trace_path = _resolve(args)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {outdir!r} ({exc.strerror or exc})") from exc
     if not trace_path:
         return run_ensemble(config), outdir, trace_path
-    with open(trace_path, "w") as fh:
+    try:
+        fh = open(trace_path, "w")
+    except OSError as exc:
+        raise ConfigError(f"trace: cannot open {trace_path!r} ({exc.strerror or exc})") from exc
+    with fh:
         return run_ensemble(config, trace=lambda event: fh.write(json.dumps(event) + "\n")), outdir, trace_path
 
 

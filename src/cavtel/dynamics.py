@@ -10,14 +10,18 @@ anti-Hermitian part matches the decay channels: the squared norm of the
 unnormalized state is the no-jump probability. A jump fires when that norm
 falls to a uniform random threshold. Under a diagonal H the survival is a
 sum of exponentials, and ``survival_solve`` finds the jump time by Newton
-steps on its logarithm; otherwise it is located by bisection. The channel
-is drawn by Born weights, and the state renormalized.
+steps on its logarithm; otherwise it is located by bisection on probes of
+the norm that start from the state in the eigenbasis and memoise nothing.
+The channel is drawn by Born weights, and the state renormalized.
 
 H is made dense once. A diagonal H keeps closed-form survival times.
 Otherwise the states split into connected blocks that H never couples to
 each other; each block is eigendecomposed on its own, and the blocks are
 laid out as one dense V diag(exp(-i lam t)) W factor in basis order. Only a
 defective block falls back, with a warning, to a matrix exponential of H.
+Every propagator memoises its operator per duration (at most
+``STEP_MEMO_SIZE`` of them), and ``evolve`` always applies that operator,
+so its result does not depend on what the memo holds.
 
 Neither tier's no-jump Hamiltonian couples two cavity sites: only the
 detector jump operators a0 +- a1 mix them. So every protocol propagator
@@ -47,6 +51,10 @@ from .spaces import Register, SparseOp, norm2
 
 JUMP_TIME_RTOL = 1e-9
 EIG_CHECK_RTOL = 1e-8
+# Most durations a propagator's step memo holds; a full memo is cleared. A
+# protocol laser configuration recurs through at most 4 durations (seen on
+# the effective and full desk tiers), and a jump adds two once-only ones.
+STEP_MEMO_SIZE = 16
 
 
 def normalize_lasers(lasers) -> tuple:
@@ -234,8 +242,33 @@ def _bisect(survival, u, t_hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _memo(steps, t, build):
+    """``build(float(t))``, kept in ``steps`` per duration; a full memo is cleared first."""
+    key = float(t)
+    step = steps.get(key)
+    if step is None:
+        if len(steps) >= STEP_MEMO_SIZE:
+            steps.clear()
+        step = steps[key] = build(key)
+    return step
+
+
+def _on_axis(op, x, pre, size, post):
+    """``op`` on the middle axis of x viewed as (pre, size, post): a vector elementwise, a matrix by product."""
+    if op.ndim == 1:
+        return x.reshape(pre, size, post) * op[:, None]
+    if post > 1:
+        return op @ x.reshape(pre, size, post)
+    if pre > 1:
+        return x.reshape(pre, size) @ op.T
+    return op @ x.reshape(size)  # a single axis: a plain matvec is the fastest form
+
+
 class DiagonalPropagator:
-    """exp(-iHt) for diagonal H, with analytic no-jump survival times."""
+    """exp(-iHt) for diagonal H, with analytic no-jump survival times.
+
+    The factor exp((i phi - gamma) t) is memoised per duration.
+    """
 
     def __init__(self, diag):
         self.diag = np.asarray(diag, dtype=np.complex128)
@@ -245,9 +278,17 @@ class DiagonalPropagator:
             raise ValueError("diagonal growth would break norm monotonicity")
         # Survival searches sum the squared amplitudes per distinct decay rate.
         self._rates, self._rate_group = np.unique(2.0 * self.decay_rate, return_inverse=True)
+        self._steps = {}
+
+    def _factor(self, t):
+        return np.exp((1j * self.phase_rate - self.decay_rate) * t)
 
     def evolve(self, psi, t):
-        return psi * np.exp((1j * self.phase_rate - self.decay_rate) * t)
+        return psi * _memo(self._steps, t, self._factor)
+
+    def norm_curve(self, psi):
+        """t -> squared norm of ``evolve(psi, t)``, memoising nothing."""
+        return lambda t: norm2(psi * self._factor(t))
 
     def survival_time(self, psi, threshold, t_max):
         """First time the squared norm reaches threshold, or -1 if it never does."""
@@ -259,21 +300,25 @@ class ExpmPropagator:
     """Fallback exp(-iHt) by direct matrix exponential, memoized per duration.
 
     The matrix is applied with ``@``, so it also evolves the middle axis of
-    a (pre, size, post) array: an ``EigPropagator`` uses it as the factor of
-    a site whose eigendecomposition failed its check.
+    a (pre, size, post) array. An ``EigPropagator`` takes it as the factor
+    of a site whose eigendecomposition failed its check; that axis's
+    matrices then live in the ``EigPropagator``'s step memo.
     """
 
     def __init__(self, h_dense):
         self.h = h_dense
-        self._cache = {}
+        self._steps = {}
+
+    def matrix(self, t):
+        """exp(-iHt), computed afresh."""
+        return scipy.linalg.expm(-1j * self.h * t)
 
     def evolve(self, psi, t):
-        key = float(t)
-        if key not in self._cache:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = scipy.linalg.expm(-1j * self.h * key)
-        return self._cache[key] @ psi
+        return _memo(self._steps, t, self.matrix) @ psi
+
+    def norm_curve(self, psi):
+        """t -> squared norm of ``evolve(psi, t)``, memoising nothing."""
+        return lambda t: norm2(self.matrix(t) @ psi)
 
 
 class EigPropagator:
@@ -282,33 +327,64 @@ class EigPropagator:
     The state is viewed as a tensor over the axis dimensions ``dims``. Each
     factor is ``(lam, vmat, wmat)`` in its axis's basis order, with
     exp(-iH_k t) = V diag(exp(-i lam t)) W as dense matrices; a diagonal
-    axis has no V or W and is applied elementwise. An ``ExpmPropagator``
-    may stand in for an axis's factor. ``make_propagator`` gives one axis,
-    ``PropagatorCache`` one per site.
+    axis has no V or W. An ``ExpmPropagator`` may stand in for an axis's
+    factor. ``make_propagator`` gives one axis, ``PropagatorCache`` one per
+    site.
+
+    The protocol reruns a fixed pulse schedule, so a few durations recur
+    all the time. ``evolve`` memoises one operator per axis and duration:
+    the folded matrix (V * exp(-i lam t)) @ W, a phase vector for a
+    diagonal axis, or the fallback's own matrix exponential. Every call,
+    the first at a duration included, applies those operators, so the
+    result does not depend on what the memo holds. ``norm_curve`` probes
+    the no-jump norm for the jump search: it moves the state into each
+    axis's eigenbasis once, then each probe applies only the phases and V,
+    and memoises nothing.
     """
 
     def __init__(self, dims, factors):
         self.factors = list(factors)
         self.shapes = [(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
                        for axis in range(len(dims))]
+        self._steps = {}
 
-    def evolve(self, psi, t):
-        x = psi
-        for (pre, size, post), factor in zip(self.shapes, self.factors):
+    def _fold(self, t):
+        ops = []
+        for factor in self.factors:
             if isinstance(factor, ExpmPropagator):
-                x = factor.evolve(x.reshape(pre, size, post), t)
+                ops.append(factor.matrix(t))
                 continue
             lam, vmat, wmat = factor
             phase = np.exp(-1j * lam * t)
-            if vmat is None:
-                x = x.reshape(pre, size, post) * phase[:, None]
-            elif post > 1:
-                x = vmat @ (phase[:, None] * (wmat @ x.reshape(pre, size, post)))
-            elif pre > 1:
-                x = ((x.reshape(pre, size) @ wmat.T) * phase) @ vmat.T
-            else:  # a single axis: a plain matvec is the fastest form
-                x = vmat @ (phase * (wmat @ x))
+            ops.append(phase if vmat is None else (vmat * phase) @ wmat)
+        return ops
+
+    def evolve(self, psi, t):
+        x = psi
+        for shape, op in zip(self.shapes, _memo(self._steps, t, self._fold)):
+            x = _on_axis(op, x, *shape)
         return x.reshape(-1)
+
+    def norm_curve(self, psi):
+        """t -> squared norm of ``evolve(psi, t)``, from psi in the eigenbases."""
+        y = psi
+        for shape, factor in zip(self.shapes, self.factors):
+            if not isinstance(factor, ExpmPropagator) and factor[2] is not None:
+                y = _on_axis(factor[2], y, *shape)
+
+        def norm_at(t):
+            x = y
+            for shape, factor in zip(self.shapes, self.factors):
+                if isinstance(factor, ExpmPropagator):
+                    x = _on_axis(factor.matrix(t), x, *shape)
+                    continue
+                lam, vmat, _ = factor
+                x = _on_axis(np.exp(-1j * lam * t), x, *shape)
+                if vmat is not None:
+                    x = _on_axis(vmat, x, *shape)
+            return norm2(x)
+
+        return norm_at
 
 
 def make_propagator(h: SparseOp):
@@ -451,7 +527,7 @@ class JumpRun:
 
 
 def _bisect_jump_time(propagator, psi, threshold, t_hi):
-    return _bisect(lambda t: norm2(propagator.evolve(psi, t)), threshold, t_hi, JUMP_TIME_RTOL * t_hi)
+    return _bisect(propagator.norm_curve(psi), threshold, t_hi, JUMP_TIME_RTOL * t_hi)
 
 
 def evolve_with_jumps(

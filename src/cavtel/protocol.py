@@ -313,6 +313,11 @@ class NumericBackend(_Backend):
         self.channels = detector_channels(self.space, params)
         if tier == "full":
             self.channels = self.channels + emission_channels(self.space, params)
+        # A protocol run repeats a few drive sets, so their bookkeeping is
+        # built on first use and kept: segments per (drives, stage), the
+        # truncation mask per drives as an index array.
+        self._segment_lists = {}
+        self._exposed = {}
 
     def _segments(self, drives, stage):
         """Split a block of end-aligned drives at each drive's start time."""
@@ -331,10 +336,13 @@ class NumericBackend(_Backend):
                 if span - self.times.duration(kind) <= lo + tol:
                     rows.append((site, atom, *PULSE_LASERS[kind]))
             segments.append(Segment(hi - lo, self.cache.get(rows), stage))
-        return segments, span
+        return tuple(segments), span
 
     def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
-        segments, span = self._segments(drives, stage)
+        key = (tuple(drives), stage)
+        if key not in self._segment_lists:
+            self._segment_lists[key] = self._segments(drives, stage)
+        segments, span = self._segment_lists[key]
         run = evolve_with_jumps(psi, segments, self.channels, rng, t0=t0)
         return normalized(run.psi), run.clicks, span
 
@@ -358,20 +366,23 @@ class NumericBackend(_Backend):
         that stranded share measures real cutoff error; the rest of the top
         level is benign and stays out of the tally.
         """
-        space = self.space
-        mask = np.zeros(space.dim, dtype=bool)
-        if self.tier == "full":
-            for site, shape in enumerate(space.sites):
-                at_top = space.photon_numbers(site) == shape.cutoff
-                for atom in range(shape.atoms):
-                    mask |= at_top & (space.atom_levels(site, atom) == 2)
-        else:
-            for site, atom, _kind in drives:
-                cutoff = space.sites[site].cutoff
-                mask |= (space.photon_numbers(site) == cutoff) & (
-                    space.atom_levels(site, atom) == 1
-                )
-        return float(np.sum(np.abs(psi[mask]) ** 2))
+        key = tuple(drives)
+        if key not in self._exposed:
+            space = self.space
+            mask = np.zeros(space.dim, dtype=bool)
+            if self.tier == "full":
+                for site, shape in enumerate(space.sites):
+                    at_top = space.photon_numbers(site) == shape.cutoff
+                    for atom in range(shape.atoms):
+                        mask |= at_top & (space.atom_levels(site, atom) == 2)
+            else:
+                for site, atom, _kind in drives:
+                    cutoff = space.sites[site].cutoff
+                    mask |= (space.photon_numbers(site) == cutoff) & (
+                        space.atom_levels(site, atom) == 1
+                    )
+            self._exposed[key] = np.flatnonzero(mask)
+        return float(np.sum(np.abs(psi[self._exposed[key]]) ** 2))
 
 
 BACKENDS = ("ideal", "effective", "full")

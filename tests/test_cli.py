@@ -132,6 +132,8 @@ def test_params_mhz_config(tmp_path, capsys):
         ({"params_mhz": {**REFERENCE_MHZ, "cavity_coupling": "0.07"}}, "cavity_coupling"),
         ({"input": [True, 0]}, "input"),
         ({"input": ["1", "0"]}, "input"),
+        ({"atom_decay_convention": "bogus"}, "atom_decay_convention"),
+        ({"atom_decay_convention": "population"}, "atom_decay_convention"),
     ],
 )
 def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):
@@ -151,6 +153,19 @@ def test_malformed_json_and_missing_file(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
     assert _run_main(["run", "--config", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_unusable_output_paths_exit_one(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    missing = tmp_path / "missing" / "t.jsonl"
+    base = ["run", "--backend", "ideal", "--trajectories", "1"]
+    assert _run_main([*base, "--output-dir", str(afile / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: output_dir" in err and str(afile / "x") in err
+    assert _run_main([*base, "--output-dir", str(tmp_path), "--trace", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: trace" in err and str(missing) in err
 
 
 def test_usage_errors_exit_one(capsys):

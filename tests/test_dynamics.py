@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 from cavtel import dynamics
 from cavtel.dynamics import (
     JUMP_TIME_RTOL,
+    STEP_MEMO_SIZE,
     DiagonalPropagator,
     EigPropagator,
     ExpmPropagator,
@@ -508,3 +509,49 @@ def test_segment_boundaries_do_not_consume_draws(params):
     for c0, c1 in zip(one.clicks, two.clicks):
         assert c0.time == pytest.approx(c1.time, rel=1e-7)
     assert np.allclose(one.psi, two.psi, atol=1e-9)
+
+
+def _memo_propagators(params):
+    """(propagator, state) for each memoising kind: a dense axis beside a
+    diagonal one, an expm axis beside a dense one, diagonal, expm, and one
+    dense axis."""
+    space = Register([SiteShape(2, 2, 2), SiteShape(1, 2, 2)])  # 12 x 6 states
+    cache = PropagatorCache(space, params, tier="effective")
+    mixed = cache.get([(0, 1, True, True)])
+    assert isinstance(mixed, EigPropagator) and mixed.factors[1][1] is None
+    jordan = np.array([[0.1 - 1j, 1.0], [0.0, 0.1 - 1j]])  # defective; its norm still decays
+    one_site = Register([SiteShape(1, 2, 2)])
+    props = [
+        (mixed, space.dim),
+        (EigPropagator([2, 12], [ExpmPropagator(jordan), mixed.factors[0]]), 24),
+        (cache.get(()), space.dim),
+        (ExpmPropagator(jordan), 2),
+        (make_propagator(effective_hamiltonian(one_site, params, [(0, 0, True, False)])), one_site.dim),
+    ]
+    rng = np.random.default_rng(8)
+    return [(prop, normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))) for prop, dim in props]
+
+
+def test_evolve_does_not_depend_on_the_step_memo(params):
+    for prop, psi in _memo_propagators(params):
+        fresh = prop.evolve(psi, 3.7).tobytes()
+        for k in range(3 * STEP_MEMO_SIZE):  # fills the memo past its bound, so it is cleared
+            prop.evolve(psi, 0.01 * (k + 1))
+            assert len(prop._steps) <= STEP_MEMO_SIZE
+        assert prop.evolve(psi, 3.7).tobytes() == fresh
+        assert 3.7 in prop._steps
+        assert prop.evolve(psi, 3.7).tobytes() == fresh  # warm
+        prop._steps.clear()
+        assert prop.evolve(psi, 3.7).tobytes() == fresh
+
+
+def test_jump_search_probes_memoise_nothing(params):
+    for prop, psi in _memo_propagators(params):
+        threshold = 0.5 * (1.0 + norm2(prop.evolve(psi, 5.0)))
+        curve = prop.norm_curve(psi)
+        for t in (0.5, 1.0, 2.0):
+            assert curve(t) == pytest.approx(norm2(prop.evolve(psi, t)), rel=1e-12)
+        prop._steps.clear()
+        t_jump = _bisect_jump_time(prop, psi, threshold, 5.0)
+        assert 0.0 < t_jump < 5.0 and not prop._steps
+        assert norm2(prop.evolve(psi, t_jump)) == pytest.approx(threshold, rel=1e-6)

@@ -10,7 +10,9 @@ earlier, different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
 against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
 blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
-grow with time. ``PropagatorCache``'s per-site factors are checked against
+grow with time. The jump search's probes of the no-jump norm must match the
+norm of ``evolve`` on propagators of one to three axes, each dense, diagonal
+or an ``ExpmPropagator`` fallback. ``PropagatorCache``'s per-site factors are checked against
 ``expm_multiply`` of the whole-register Hamiltonian on random registers of
 one to three sites. On random register layouts, every basis label must
 survive index, string and per-site round trips, and the flat index must
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 from cavtel.dynamics import (
     DiagonalPropagator,
     EigPropagator,
+    ExpmPropagator,
     PropagatorCache,
     effective_hamiltonian,
     full_hamiltonian,
@@ -337,6 +340,38 @@ def test_block_propagator_matches_expm(problem):
     assert isinstance(prop, (EigPropagator, DiagonalPropagator))
     want = scipy.linalg.expm(-1j * h.to_dense() * t) @ psi
     assert np.max(np.abs(prop.evolve(psi, t) - want)) <= 1e-10
+
+
+@st.composite
+def axis_propagators(draw):
+    """An ``EigPropagator`` of one to three dissipative axes, each dense,
+    diagonal or an ``ExpmPropagator`` fallback, with a random state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["dense", "diagonal", "expm"]), min_size=1, max_size=3))
+    dims = draw(st.lists(st.integers(1, 5), min_size=len(kinds), max_size=len(kinds)))
+    factors = []
+    for kind, size in zip(kinds, dims):
+        x = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h = 0.5 * (x + x.conj().T) - 1j * np.diag(rng.random(size))
+        if kind == "diagonal":
+            factors.append((np.diag(h).copy(), None, None))
+        elif kind == "expm":
+            factors.append(ExpmPropagator(h))
+        else:
+            values, vectors = np.linalg.eig(h)
+            factors.append((values, vectors, np.linalg.inv(vectors)))
+    dim = math.prod(dims)
+    psi = normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return EigPropagator(dims, factors), psi
+
+
+@PROPERTY
+@given(axis_propagators(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+def test_jump_probes_match_the_evolved_norm(problem, times):
+    prop, psi = problem
+    curve = prop.norm_curve(psi)
+    for t in times:
+        assert curve(t) == pytest.approx(norm2(prop.evolve(psi, t)), rel=1e-12)
 
 
 @PROPERTY

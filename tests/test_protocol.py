@@ -312,3 +312,27 @@ def test_numeric_success_matches_input(desk_backend):
             assert rec.leakage <= LEAKAGE_LIMIT
             return
     raise AssertionError("no successful desk run in 30 seeds")
+
+
+def _replay_rows(backend, order):
+    """Outcome, elapsed time, leakage and final-state bytes of each seeded trajectory, by index."""
+    rows = {}
+    for i in order:
+        rng = np.random.default_rng([307, i])
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rec = run_protocol(backend, a, b, rng)
+        final = None if rec.final_state is None else rec.final_state.tobytes()
+        rows[i] = (rec.outcome, rec.elapsed.hex(), rec.leakage.hex(), final)
+    return rows
+
+
+def test_reused_backend_replays_trajectories_in_any_order():
+    # The propagators' step memos and the drive-set bookkeeping fill in the
+    # order trajectories run; no trajectory may depend on that history.
+    reused = NumericBackend(desk_params(), tier="effective")
+    forward = _replay_rows(reused, range(60))
+    backward = _replay_rows(reused, reversed(range(60)))
+    fresh = _replay_rows(NumericBackend(desk_params(), tier="effective"), reversed(range(60)))
+    assert backward == forward
+    assert fresh == forward
+    assert len({row[0] for row in forward.values()}) >= 2
