@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import fields
 
+from . import checks
 from .experiment import (
     RUN_SETTINGS,
     EnsembleConfig,
@@ -115,9 +116,20 @@ def _resolve(args) -> tuple[EnsembleConfig, str, str | None]:
     return config, data.get("output_dir", "."), data.get("trace")
 
 
+def _outcome_line(status, outcome) -> str:
+    return f"{status:4s} {outcome.name}: {outcome.detail}"
+
+
 def _run(args):
-    """Resolve the settings, make the output directory and run the ensemble."""
+    """Resolve the settings, make the output directory and run the ensemble.
+
+    Each validity ratio the parameters fail is warned on stderr, worded as
+    ``cavtel check`` words it; the run goes ahead.
+    """
     config, outdir, trace_path = _resolve(args)
+    for outcome in checks.check_validity(config.resolve_params()):
+        if not outcome.passed:
+            print(_outcome_line("WARN", outcome), file=sys.stderr)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -151,10 +163,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .checks import run_all_checks
-
     # argparse has checked the choice.
-    outcomes = run_all_checks(PROFILES[args.profile or EnsembleConfig.profile]())
+    outcomes = checks.run_all_checks(PROFILES[args.profile or EnsembleConfig.profile]())
     hard_fail = False
     warned = False
     for oc in outcomes:
@@ -166,7 +176,7 @@ def cmd_check(args) -> int:
         else:
             status = "FAIL"
             hard_fail = True
-        print(f"{status:4s} {oc.name}: {oc.detail}")
+        print(_outcome_line(status, oc))
     if hard_fail or (warned and args.strict):
         return 2
     return 0

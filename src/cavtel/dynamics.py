@@ -10,9 +10,12 @@ anti-Hermitian part matches the decay channels: the squared norm of the
 unnormalized state is the no-jump probability. A jump fires when that norm
 falls to a uniform random threshold. Under a diagonal H the survival is a
 sum of exponentials, and ``survival_solve`` finds the jump time by Newton
-steps on its logarithm; otherwise it is located by bisection on probes of
-the norm that start from the state in the eigenbasis and memoise nothing.
-The channel is drawn by Born weights, and the state renormalized.
+steps on its logarithm. Otherwise ``_bisect_jump_time`` takes safeguarded
+Newton steps inside a shrinking bracket, on probes of the state that start
+from it in the eigenbasis and memoise nothing; the slope of the norm comes
+from the decay rates on H's diagonal, and the probe at the jump time is the
+state the jump acts on. The channel is drawn by Born weights, and the state
+renormalized.
 
 H is made dense once. A diagonal H keeps closed-form survival times.
 Otherwise the states split into connected blocks that H never couples to
@@ -228,20 +231,6 @@ def survival_solve(weights, rates, u, t_max):
     raise RuntimeError(f"survival search for u={u!r} did not converge in 100 Newton steps")
 
 
-def _bisect(survival, u, t_hi, tol):
-    """Midpoint of the bracket around survival(t) == u on (0, t_hi], once it is within tol."""
-    lo, hi = 0.0, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if survival(mid) > u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _memo(steps, t, build):
     """``build(float(t))``, kept in ``steps`` per duration; a full memo is cleared first."""
     key = float(t)
@@ -286,10 +275,6 @@ class DiagonalPropagator:
     def evolve(self, psi, t):
         return psi * _memo(self._steps, t, self._factor)
 
-    def norm_curve(self, psi):
-        """t -> squared norm of ``evolve(psi, t)``, memoising nothing."""
-        return lambda t: norm2(psi * self._factor(t))
-
     def survival_time(self, psi, threshold, t_max):
         """First time the squared norm reaches threshold, or -1 if it never does."""
         weights = np.bincount(self._rate_group, weights=np.abs(psi) ** 2, minlength=len(self._rates))
@@ -302,11 +287,13 @@ class ExpmPropagator:
     The matrix is applied with ``@``, so it also evolves the middle axis of
     a (pre, size, post) array. An ``EigPropagator`` takes it as the factor
     of a site whose eigendecomposition failed its check; that axis's
-    matrices then live in the ``EigPropagator``'s step memo.
+    matrices then live in the ``EigPropagator``'s step memo. ``decay`` is
+    -Im diag(H), the jump search's decay rate per basis state.
     """
 
     def __init__(self, h_dense):
         self.h = h_dense
+        self.decay = -np.imag(np.diag(h_dense))
         self._steps = {}
 
     def matrix(self, t):
@@ -316,9 +303,9 @@ class ExpmPropagator:
     def evolve(self, psi, t):
         return _memo(self._steps, t, self.matrix) @ psi
 
-    def norm_curve(self, psi):
-        """t -> squared norm of ``evolve(psi, t)``, memoising nothing."""
-        return lambda t: norm2(self.matrix(t) @ psi)
+    def state_curve(self, psi):
+        """t -> ``evolve(psi, t)``, memoising nothing."""
+        return lambda t: self.matrix(t) @ psi
 
 
 class EigPropagator:
@@ -336,16 +323,23 @@ class EigPropagator:
     the folded matrix (V * exp(-i lam t)) @ W, a phase vector for a
     diagonal axis, or the fallback's own matrix exponential. Every call,
     the first at a duration included, applies those operators, so the
-    result does not depend on what the memo holds. ``norm_curve`` probes
-    the no-jump norm for the jump search: it moves the state into each
+    result does not depend on what the memo holds. ``state_curve`` probes
+    the no-jump state for the jump search: it moves the state into each
     axis's eigenbasis once, then each probe applies only the phases and V,
-    and memoises nothing.
+    and memoises nothing. ``decay`` is -Im diag(H) over the register, each
+    axis's diagonal of V diag(lam) W summed over the axes; the search takes
+    the slope of the norm from it.
     """
 
     def __init__(self, dims, factors):
         self.factors = list(factors)
         self.shapes = [(math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
                        for axis in range(len(dims))]
+        self.decay = functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), [
+            factor.decay if isinstance(factor, ExpmPropagator)
+            else -np.imag(factor[0]) if factor[1] is None
+            else -np.imag(np.einsum("ij,j,ji->i", factor[1], factor[0], factor[2]))
+            for factor in self.factors])
         self._steps = {}
 
     def _fold(self, t):
@@ -365,14 +359,14 @@ class EigPropagator:
             x = _on_axis(op, x, *shape)
         return x.reshape(-1)
 
-    def norm_curve(self, psi):
-        """t -> squared norm of ``evolve(psi, t)``, from psi in the eigenbases."""
+    def state_curve(self, psi):
+        """t -> ``evolve(psi, t)``, from psi in the eigenbases; memoises nothing."""
         y = psi
         for shape, factor in zip(self.shapes, self.factors):
             if not isinstance(factor, ExpmPropagator) and factor[2] is not None:
                 y = _on_axis(factor[2], y, *shape)
 
-        def norm_at(t):
+        def state_at(t):
             x = y
             for shape, factor in zip(self.shapes, self.factors):
                 if isinstance(factor, ExpmPropagator):
@@ -382,9 +376,9 @@ class EigPropagator:
                 x = _on_axis(np.exp(-1j * lam * t), x, *shape)
                 if vmat is not None:
                     x = _on_axis(vmat, x, *shape)
-            return norm2(x)
+            return x.reshape(-1)
 
-        return norm_at
+        return state_at
 
 
 def make_propagator(h: SparseOp):
@@ -519,15 +513,65 @@ class Click:
 
 @dataclass
 class JumpRun:
-    """Outcome of one no-jump/jump walk: state is left unnormalized."""
+    """Outcome of one no-jump/jump walk: state is left unnormalized.
+
+    ``norm2`` is the squared norm of ``psi``. The walk has it already (from
+    the step that made ``psi``), so ``normalized_state`` reuses it.
+    """
 
     psi: np.ndarray
+    norm2: float
     clicks: list[Click] = field(default_factory=list)
     elapsed: float = 0.0
 
+    def normalized_state(self) -> np.ndarray:
+        """``psi`` scaled to unit norm: ``spaces.normalized(psi)``, bit for bit."""
+        n = np.sqrt(self.norm2)
+        if n == 0:
+            raise ValueError("cannot normalize the zero vector")
+        return self.psi / n
+
 
 def _bisect_jump_time(propagator, psi, threshold, t_hi):
-    return _bisect(propagator.norm_curve(psi), threshold, t_hi, JUMP_TIME_RTOL * t_hi)
+    """(t, state at t) where the no-jump squared norm N falls to ``threshold``.
+
+    N must exceed ``threshold`` at 0 and not at ``t_hi``. The search keeps a
+    bracket [lo, hi] around the root, from [0, t_hi], and takes Newton steps
+    on log N - log threshold. Each probe gives the state x = ``evolve(psi,
+    t)`` and so N and N' = -2 sum_i decay_i |x_i|^2: the exact slope when
+    H's anti-Hermitian part is diagonal, only a guide otherwise. A step
+    shorter than the tolerance is lengthened by half of it, so the next
+    probe lands past the root and closes the bracket. A step that leaves
+    the bracket, or is longer than half the step before it (Newton on a
+    poor slope creeps), probes the bracket's midpoint instead. Returns the
+    last probe once hi - lo is at most ``JUMP_TIME_RTOL * t_hi``; the name
+    is kept from the bisection this search replaced.
+    """
+    state_at = propagator.state_curve(psi)
+    decay = propagator.decay
+    tol = JUMP_TIME_RTOL * t_hi
+    log_u = math.log(threshold)
+    lo, hi = 0.0, t_hi
+    t, x, last = 0.0, psi, math.inf  # last: the length of the step before
+    for _ in range(200):
+        n = norm2(x)
+        if n > threshold:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= tol:
+            break
+        rate = float(decay @ (x.real ** 2 + x.imag ** 2))  # -N'/2
+        step = (math.log(n) - log_u) * n / (2.0 * rate) if rate > 0.0 and n > 0.0 else math.inf
+        if abs(step) < tol:
+            step += math.copysign(0.5 * tol, step)
+        new = t + step
+        if not (lo < new < hi and abs(step) <= 0.5 * last):
+            new = 0.5 * (lo + hi)
+        last = abs(new - t)
+        t = new
+        x = state_at(t)
+    return t, x
 
 
 def evolve_with_jumps(
@@ -547,45 +591,46 @@ def evolve_with_jumps(
     walk returns right after the first detector click; emission clicks stop
     the walk by default so callers can abort.
     """
-    run = JumpRun(psi=np.array(psi, dtype=np.complex128))
+    psi = np.array(psi, dtype=np.complex128)
+    n2 = None  # psi's squared norm, once a step has computed it
+    clicks = []
+    elapsed = 0.0
     threshold = rng.random()
     for seg in segments:
         remaining = seg.duration
         while remaining > 0.0:
-            evolved = seg.propagator.evolve(run.psi, remaining)
-            if norm2(evolved) > threshold:
-                run.psi = evolved
-                run.elapsed += remaining
+            evolved = seg.propagator.evolve(psi, remaining)
+            n_evolved = norm2(evolved)
+            if n_evolved > threshold:
+                psi, n2 = evolved, n_evolved
+                elapsed += remaining
                 break
             if isinstance(seg.propagator, DiagonalPropagator):
-                t_jump = seg.propagator.survival_time(run.psi, threshold, remaining)
+                t_jump = seg.propagator.survival_time(psi, threshold, remaining)
                 if t_jump < 0.0:
                     t_jump = remaining
+                at_jump = seg.propagator.evolve(psi, t_jump)
             else:
-                t_jump = _bisect_jump_time(seg.propagator, run.psi, threshold, remaining)
-            at_jump = seg.propagator.evolve(run.psi, t_jump)
+                t_jump, at_jump = _bisect_jump_time(seg.propagator, psi, threshold, remaining)
             branches = [ch.op.apply(at_jump) for ch in channels]
             weights = np.array([norm2(b) for b in branches])
             total = float(weights.sum())
+            elapsed += t_jump
+            remaining -= t_jump
             if total <= 0.0:
                 # Numerically normless corner: no channel carries amplitude.
-                run.psi = at_jump
-                run.elapsed += t_jump
-                remaining -= t_jump
-                threshold = rng.random() * norm2(at_jump)
+                psi, n2 = at_jump, norm2(at_jump)
+                threshold = rng.random() * n2
                 continue
             edges = np.cumsum(weights)
             pick = min(int(np.searchsorted(edges, rng.random() * total, side="right")), len(channels) - 1)
             chan = channels[pick]
-            run.psi = branches[pick] / math.sqrt(weights[pick])
-            run.elapsed += t_jump
-            remaining -= t_jump
-            run.clicks.append(
-                Click(t0 + run.elapsed, chan.name, chan.kind, chan.sign, seg.label)
-            )
+            psi = branches[pick] / math.sqrt(weights[pick])
+            n2 = norm2(psi)
+            clicks.append(Click(t0 + elapsed, chan.name, chan.kind, chan.sign, seg.label))
             threshold = rng.random()
             if (stop_after_first_detector and chan.kind == "detector") or (
                 stop_on_emission and chan.kind == "emission"
             ):
-                return run
-    return run
+                return JumpRun(psi, n2, clicks, elapsed)
+    return JumpRun(psi, norm2(psi) if n2 is None else n2, clicks, elapsed)

@@ -24,10 +24,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .dynamics import Segment, evolve_with_jumps, make_propagator
-from .params import TWO_PI, PROFILES, PhysicalParams
+from .params import TWO_PI, PROFILES, VALIDITY_THRESHOLD, PhysicalParams
 from .protocol import BACKENDS, SUCCESS_OUTCOMES, ProtocolRecord, make_backend, run_protocol
 from .pulses import DETECT_LIFETIMES, solve_pulse_times
-from .spaces import Register, SparseOp, norm2, normalized
+from .spaces import Register, SparseOp, norm2
 
 
 def haar_input(rng) -> tuple[complex, complex]:
@@ -290,7 +290,7 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
             for j, segments in enumerate(walks):
                 if segments is not None:
                     run = evolve_with_jumps(psi, segments, channels, rng, stop_on_emission=False)
-                    psi = normalized(run.psi)
+                    psi = run.normalized_state()
                 states[j, k] = psi
         stacked = states[:, :len(chunk)]
         rhos += stacked.transpose(0, 2, 1) @ stacked.conj()
@@ -333,10 +333,14 @@ def _nan_to_none(value):
 
 def result_summary_dict(result: EnsembleResult) -> dict:
     """The summary.json payload. A statistic with no successes to average
-    (NaN in ``stats``) is None, so the file is strict JSON (``null``)."""
+    (NaN in ``stats``) is None, so the file is strict JSON (``null``).
+    ``validity`` holds each of ``params.validity()``'s ratios by name, with
+    the threshold it must reach and whether it passes."""
     return {
         "config": {key: getattr(result.config, key) for key in RUN_SETTINGS},
         "params_rad_per_us": asdict(result.params),
+        "validity": {row.name: {"ratio": row.ratio, "threshold": VALIDITY_THRESHOLD, "passes": row.ok}
+                     for row in result.params.validity()},
         "stats": _nan_to_none(result.stats),
     }
 

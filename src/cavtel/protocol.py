@@ -344,19 +344,19 @@ class NumericBackend(_Backend):
             self._segment_lists[key] = self._segments(drives, stage)
         segments, span = self._segment_lists[key]
         run = evolve_with_jumps(psi, segments, self.channels, rng, t0=t0)
-        return normalized(run.psi), run.clicks, span
+        return run.normalized_state(), run.clicks, span
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
         seg = Segment(self.times.detect, self.cache.get(()), stage)
         run = evolve_with_jumps(
             psi, [seg], self.channels, rng, t0=t0, stop_after_first_detector=stop_after_first
         )
-        return normalized(run.psi), run.clicks, run.elapsed
+        return run.normalized_state(), run.clicks, run.elapsed
 
     def phase_wait(self, psi, duration, rng, t0=0.0, stage=""):
         seg = Segment(duration, self.cache.get(()), stage)
         run = evolve_with_jumps(psi, [seg], self.channels, rng, t0=t0)
-        return normalized(run.psi), run.clicks, run.elapsed
+        return run.normalized_state(), run.clicks, run.elapsed
 
     def truncation_exposure(self, psi, drives) -> float:
         """Population sitting in blocks whose upward coupling was cut off.

@@ -98,6 +98,45 @@ def test_params_mhz_config(tmp_path, capsys):
     assert payload["params_rad_per_us"]["rabi_strong"] == pytest.approx(TWO_PI * 10.0)
 
 
+DESK_MHZ = {
+    "laser_detuning": 2.0e6,
+    "rabi_strong": 1.0e4,
+    "rabi_weak": 840.0,
+    "cavity_coupling": 70.0,
+    "atom_decay": 0.1,
+    "cavity_decay": 1e-4,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "figures"])
+def test_run_states_its_regime(tmp_path, capsys, command):
+    # Desk rates with the detuning cut 4x: two scale separations fall below 10.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": "ideal",
+        "trajectories": 2,
+        "params_mhz": {**DESK_MHZ, "laser_detuning": 5e5},
+    }))
+    assert _run_main([command, "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    warns = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WARN")]
+    assert warns == [
+        "WARN regime: laser_detuning/10 over rabi_strong: ratio 5 (want >= 10)",
+        "WARN regime: cavity_decay over scattering rate: ratio 2.5 (want >= 10)",
+    ]
+    if command == "run":
+        validity = json.loads((tmp_path / "summary.json").read_text())["validity"]
+        failing = {name for name, row in validity.items() if not row["passes"]}
+        assert failing == {"laser_detuning/10 over rabi_strong", "cavity_decay over scattering rate"}
+        assert validity["laser_detuning/10 over rabi_strong"]["ratio"] == pytest.approx(5.0)
+        assert all(row["threshold"] == 10.0 for row in validity.values())
+        assert len(validity) == 6
+
+    # The desk profile itself is in its regime: no warning.
+    assert _run_main([command, "--backend", "ideal", "--profile", "desk", "--trajectories", "2",
+                      "--output-dir", str(tmp_path)]) == 0
+    assert "WARN" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [

@@ -10,9 +10,12 @@ earlier, different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
 against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
 blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
-grow with time. The jump search's probes of the no-jump norm must match the
+grow with time. The jump search's probes of the no-jump state must match the
 norm of ``evolve`` on propagators of one to three axes, each dense, diagonal
-or an ``ExpmPropagator`` fallback. ``PropagatorCache``'s per-site factors are checked against
+or an ``ExpmPropagator`` fallback. On those and on block propagators whose
+decay is not diagonal, the search's jump time must lie in (0, t_hi] within
+``JUMP_TIME_RTOL`` t_hi of the test's own tight bisection, its state must be
+``evolve``'s, and it must memoise nothing. ``PropagatorCache``'s per-site factors are checked against
 ``expm_multiply`` of the whole-register Hamiltonian on random registers of
 one to three sites. On random register layouts, every basis label must
 survive index, string and per-site round trips, and the flat index must
@@ -32,12 +35,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cavtel.dynamics import (
+    JUMP_TIME_RTOL,
     DiagonalPropagator,
     EigPropagator,
     ExpmPropagator,
     PropagatorCache,
     effective_hamiltonian,
     full_hamiltonian,
+    _bisect_jump_time,
     make_propagator,
     survival_solve,
 )
@@ -369,9 +374,51 @@ def axis_propagators(draw):
 @given(axis_propagators(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
 def test_jump_probes_match_the_evolved_norm(problem, times):
     prop, psi = problem
-    curve = prop.norm_curve(psi)
+    curve = prop.state_curve(psi)
     for t in times:
-        assert curve(t) == pytest.approx(norm2(prop.evolve(psi, t)), rel=1e-12)
+        assert norm2(curve(t)) == pytest.approx(norm2(prop.evolve(psi, t)), rel=1e-12)
+
+
+@st.composite
+def searched_propagators(draw):
+    """What the walk's jump search meets: an ``axis_propagators`` draw, or
+    ``make_propagator`` of a ``block_hamiltonians`` draw, whose decay is not
+    diagonal (a diagonal H takes the closed-form survival search instead)."""
+    if draw(st.booleans()):
+        return draw(axis_propagators())
+    h, psi, _ = draw(block_hamiltonians())
+    prop = make_propagator(h)
+    assume(not isinstance(prop, DiagonalPropagator))
+    return prop, psi
+
+
+def _tight_root(curve, u, t_hi):
+    """The test's own bisection of the probed norm, to 1e-14 t_hi."""
+    lo, hi = 0.0, t_hi
+    while hi - lo > 1e-14 * t_hi:
+        mid = 0.5 * (lo + hi)
+        if norm2(curve(mid)) > u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@PROPERTY
+@given(searched_propagators(), st.floats(0.05, 5.0), st.floats(0.01, 0.99))
+def test_jump_search_matches_a_tight_bisection(problem, t_hi, fraction):
+    prop, psi = problem
+    curve = prop.state_curve(psi)
+    n_start, n_end = norm2(psi), norm2(curve(t_hi))
+    u = n_end + fraction * (n_start - n_end)
+    assume(n_end < u < n_start)
+    prop._steps.clear()
+    t, state = _bisect_jump_time(prop, psi, u, t_hi)
+    assert not prop._steps
+    assert 0.0 < t <= t_hi
+    assert abs(t - _tight_root(curve, u, t_hi)) <= (JUMP_TIME_RTOL + 1e-14) * t_hi
+    want = prop.evolve(psi, t)
+    assert np.linalg.norm(state - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @PROPERTY
