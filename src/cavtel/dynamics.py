@@ -256,7 +256,12 @@ def _on_axis(op, x, pre, size, post):
 class DiagonalPropagator:
     """exp(-iHt) for diagonal H, with analytic no-jump survival times.
 
-    The factor exp((i phi - gamma) t) is memoised per duration.
+    The factor exp((i phi - gamma) t) is memoised per duration. Most
+    durations come once (the remainders after a jump), so each factor is
+    built from the distinct exponents only (163 of 800 on the ``effective``
+    lasers-off register) and spread by index: byte-equal to the direct
+    ``np.exp``. That table is made at the first factor, so a propagator
+    that only lends its ``diag`` to an ``EigPropagator`` never makes it.
     """
 
     def __init__(self, diag):
@@ -267,10 +272,14 @@ class DiagonalPropagator:
             raise ValueError("diagonal growth would break norm monotonicity")
         # Survival searches sum the squared amplitudes per distinct decay rate.
         self._rates, self._rate_group = np.unique(2.0 * self.decay_rate, return_inverse=True)
+        self._exponents = None  # (distinct i phi - gamma, index), made at the first factor
         self._steps = {}
 
     def _factor(self, t):
-        return np.exp((1j * self.phase_rate - self.decay_rate) * t)
+        if self._exponents is None:
+            self._exponents = np.unique(1j * self.phase_rate - self.decay_rate, return_inverse=True)
+        rates, index = self._exponents
+        return np.exp(rates * t).take(index)
 
     def evolve(self, psi, t):
         return psi * _memo(self._steps, t, self._factor)
@@ -589,9 +598,11 @@ def evolve_with_jumps(
     squared norm is the no-jump probability since the last jump. Click times
     are absolute (offset by ``t0``). With ``stop_after_first_detector`` the
     walk returns right after the first detector click; emission clicks stop
-    the walk by default so callers can abort.
+    the walk by default so callers can abort. The walk never writes into
+    ``psi``, and one that advances no time returns it as is, so a caller
+    must not write into the returned state either.
     """
-    psi = np.array(psi, dtype=np.complex128)
+    psi = np.asarray(psi, dtype=np.complex128)
     n2 = None  # psi's squared norm, once a step has computed it
     clicks = []
     elapsed = 0.0

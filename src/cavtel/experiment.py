@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .dynamics import Segment, evolve_with_jumps, make_propagator
-from .params import TWO_PI, PROFILES, VALIDITY_THRESHOLD, PhysicalParams
+from .params import DERIVED_RATES, TWO_PI, PROFILES, VALIDITY_THRESHOLD, PhysicalParams
 from .protocol import BACKENDS, SUCCESS_OUTCOMES, ProtocolRecord, make_backend, run_protocol
 from .pulses import DETECT_LIFETIMES, solve_pulse_times
 from .spaces import Register, SparseOp, norm2
@@ -43,13 +43,19 @@ _RECEIVER_KETS = weakref.WeakKeyDictionary()
 
 
 def receiver_fidelity(space: Register, psi, a, b) -> float:
-    """Overlap of the receiver's reduced state with the intended qubit."""
-    rho = space.reduced_density(psi, 1)
+    """Overlap <t|rho_R|t> of the receiver's reduced state with the intended qubit t.
+
+    The receiver (site 1) is the register's last site, so psi viewed as a
+    (sender, receiver) matrix Psi has rho_R = Psi^T conj(Psi), and the
+    overlap is ||Psi conj(t)||^2: one product, no reduced density matrix.
+    """
+    if len(space.sites) != 2:
+        raise ValueError("receiver_fidelity needs the receiver (site 1) as the register's last site")
     kets = _RECEIVER_KETS.get(space)
     if kets is None:
         kets = _RECEIVER_KETS[space] = (space.site_ket(1, "100"), space.site_ket(1, "010"))
     target = a * kets[0] + b * kets[1]
-    return float(np.real(np.conj(target) @ rho @ target))
+    return norm2(psi.reshape(-1, space.sites[1].dim) @ np.conj(target))
 
 
 @dataclass
@@ -334,11 +340,14 @@ def _nan_to_none(value):
 def result_summary_dict(result: EnsembleResult) -> dict:
     """The summary.json payload. A statistic with no successes to average
     (NaN in ``stats``) is None, so the file is strict JSON (``null``).
-    ``validity`` holds each of ``params.validity()``'s ratios by name, with
-    the threshold it must reach and whether it passes."""
+    ``derived_rad_per_us`` holds the second-order rates the model runs on
+    (``params.DERIVED_RATES``). ``validity`` holds each of
+    ``params.validity()``'s ratios by name, with the threshold it must
+    reach and whether it passes."""
     return {
         "config": {key: getattr(result.config, key) for key in RUN_SETTINGS},
         "params_rad_per_us": asdict(result.params),
+        "derived_rad_per_us": {name: getattr(result.params, name) for name in DERIVED_RATES},
         "validity": {row.name: {"ratio": row.ratio, "threshold": VALIDITY_THRESHOLD, "passes": row.ok}
                      for row in result.params.validity()},
         "stats": _nan_to_none(result.stats),

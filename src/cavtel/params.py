@@ -30,6 +30,18 @@ TWO_PI = 2.0 * math.pi
 
 VALIDITY_THRESHOLD = 10.0
 
+# The second-order rates, in the order summary.json states them.
+DERIVED_RATES = (
+    "shift_strong",
+    "detuning_offset",
+    "weak_detuning",
+    "shift_weak",
+    "shift_photon",
+    "rabi_raman",
+    "rabi_exchange",
+    "cross_weak_cavity",
+)
+
 
 @dataclass(frozen=True)
 class ValidityRow:
@@ -57,6 +69,18 @@ class PhysicalParams:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be a finite rate > 0")
+        # Extreme bare rates can still overflow or underflow a derived one,
+        # and the pulse solver and phase rules divide by some of them.
+        bad = []
+        for name in DERIVED_RATES:
+            try:
+                value = getattr(self, name)
+            except OverflowError:  # a float ** 2 out of range
+                value = math.inf
+            if not (math.isfinite(value) and value > 0):
+                bad.append(name)
+        if bad:
+            raise ValueError(f"derived rates must be finite and > 0, not so here: {', '.join(bad)}")
 
     @classmethod
     def from_mhz(
@@ -137,6 +161,8 @@ class PhysicalParams:
         accuracy gradually, so callers warn rather than abort by default.
         """
         p = self
+        # Written as a product of ratios, so no intermediate underflows to 0.
+        detuning_ratio = p.laser_detuning / p.rabi_strong
         return (
             ValidityRow("laser_detuning/10 over rabi_strong", p.laser_detuning / 10.0 / p.rabi_strong),
             ValidityRow("rabi_strong over rabi_weak", p.rabi_strong / p.rabi_weak),
@@ -145,7 +171,7 @@ class PhysicalParams:
             ValidityRow("rabi_exchange over cavity_decay", p.rabi_exchange / p.cavity_decay),
             ValidityRow(
                 "cavity_decay over scattering rate",
-                p.cavity_decay / (p.atom_decay * (p.rabi_strong / p.laser_detuning) ** 2),
+                p.cavity_decay / p.atom_decay * detuning_ratio * detuning_ratio,
             ),
         )
 

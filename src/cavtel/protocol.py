@@ -217,7 +217,14 @@ class _Backend:
 
 class IdealBackend(_Backend):
     """Closed-form engine: intended pulse angles, detection as an exact
-    photon-number measurement with exponentially sampled click times."""
+    photon-number measurement with exponentially sampled click times.
+
+    A run repeats fewer than 30 drive sets, so each one's pulse block is
+    planned on first use and kept: its span, the idle factors of the sites
+    it leaves undriven, and per drive the idle factor before its pulse (or
+    ``None``), its kind, site, atom, duration and intent. ``pulse_block``
+    applies the plan in that order. No plan is built in ``__init__``.
+    """
 
     name = "ideal"
 
@@ -230,31 +237,39 @@ class IdealBackend(_Backend):
         # Each photon sector decays as one term of the survival sum.
         self._sectors = int(self.engine.total_photons.max()) + 1
         self._sector_rates = 2.0 * params.cavity_decay * np.arange(self._sectors)
-        self._idle_factors = {}
+        self._plans = {}
 
-    def _idle_factor(self, site, t):
-        # In-block waits take a few fixed durations per drive set, so their
-        # factors are memoised (built on first use).
-        key = (site, t)
-        factor = self._idle_factors.get(key)
-        if factor is None:
-            factor = self._idle_factors[key] = self.engine.wait_factor(t, sites=[site])
-        return factor
+    def _plan(self, drives):
+        """(span, undriven idle factors, per-drive steps) of one drive set."""
+        engine, times = self.engine, self.times
+        span = max(times.duration(kind) for _, _, kind in drives)
+        driven = {site for site, _, _ in drives}
+        idle = [engine.wait_factor(span, sites=[site])
+                for site in range(len(self.space.sites)) if site not in driven]
+        steps = []
+        for site, atom, kind in drives:
+            dur = times.duration(kind)
+            pre = engine.wait_factor(span - dur, sites=[site]) if dur < span else None
+            intent = FLIP_INTENT_ANGLE if kind == "flip" else PULSE_INTENT[kind]
+            steps.append((pre, kind, site, atom, dur, intent))
+        return span, idle, steps
 
     def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
-        span = max(self.times.duration(kind) for _, _, kind in drives)
-        driven = {site for site, _, _ in drives}
-        for site in range(len(self.space.sites)):
-            if site not in driven:
-                psi = psi * self._idle_factor(site, span)
-        for site, atom, kind in drives:
-            dur = self.times.duration(kind)
-            if dur < span:
-                psi = psi * self._idle_factor(site, span - dur)
+        key = tuple(drives)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(drives)
+        span, idle, steps = plan
+        engine = self.engine
+        for factor in idle:
+            psi = psi * factor
+        for pre, kind, site, atom, dur, intent in steps:
+            if pre is not None:
+                psi = psi * pre
             if kind == "flip":
-                psi = self.engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=FLIP_INTENT_ANGLE)
+                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=intent)
             else:
-                psi = self.engine.apply_exchange_pulse(psi, site, atom, dur, intent=PULSE_INTENT[kind])
+                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent=intent)
         return psi, [], span
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
@@ -276,7 +291,8 @@ class IdealBackend(_Backend):
             plus, minus = self._ports[0].apply(tilde), self._ports[1].apply(tilde)
             w_plus, w_minus = norm2(plus), norm2(minus)
             take_plus = rng.random() < w_plus / (w_plus + w_minus)
-            psi = normalized(plus if take_plus else minus)
+            # normalized(), bit for bit, from the weight already in hand.
+            psi = plus / np.sqrt(w_plus) if take_plus else minus / np.sqrt(w_minus)
             elapsed += dt
             clicks.append(
                 Click(t0 + elapsed, "detector_plus" if take_plus else "detector_minus",
@@ -432,12 +448,14 @@ class _Run:
         psi, clicks, span = self.backend.pulse_block(psi, drives, self.rng, t0=self.clock, stage=stage)
         self.clock += span
         self.rec.clicks.extend(clicks)
-        self.emit("pulses", stage=stage, drives=[list(d) for d in drives])
+        if self.trace is not None:
+            self.emit("pulses", stage=stage, drives=[list(d) for d in drives])
         leak = self.backend.truncation_exposure(psi, drives)
         self.rec.leakage = max(self.rec.leakage, leak)
         if leak > LEAKAGE_LIMIT:
             raise _Abort(INVALID, "population stranded at the photon cutoff")
-        _require_quiet(clicks, stage)
+        if clicks:
+            _require_quiet(clicks, stage)
         return psi
 
     def window(self, psi, stage, stop_after_first=False):
@@ -446,17 +464,21 @@ class _Run:
         )
         self.clock += elapsed
         self.rec.clicks.extend(clicks)
-        detector, emission = _split_clicks(clicks)
-        if emission:
-            raise _Abort(ABORT_SPONTANEOUS, f"spontaneous emission during {stage}")
-        self.emit("window", stage=stage, clicks=[[c.time, c.sign] for c in detector])
+        detector = []
+        if clicks:
+            detector, emission = _split_clicks(clicks)
+            if emission:
+                raise _Abort(ABORT_SPONTANEOUS, f"spontaneous emission during {stage}")
+        if self.trace is not None:
+            self.emit("window", stage=stage, clicks=[[c.time, c.sign] for c in detector])
         return psi, detector, elapsed
 
     def wait(self, psi, duration, stage):
         psi, clicks, elapsed = self.backend.phase_wait(psi, duration, self.rng, t0=self.clock, stage=stage)
         self.clock += elapsed
         self.rec.clicks.extend(clicks)
-        _require_quiet(clicks, stage)
+        if clicks:
+            _require_quiet(clicks, stage)
         self.emit("wait", stage=stage, duration=duration)
         return psi
 

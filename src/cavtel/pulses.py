@@ -126,7 +126,8 @@ class AnalyticEngine:
     A pulse's map depends only on its site, atom, duration and intent, and a
     protocol run uses a handful of pulse kinds, so each map's coefficient
     arrays are built on first use and memoised (at most ``MEMO_LIMIT`` at a
-    time); so are the wait exponents per site set. Nothing is built in
+    time); so are the wait exponents per site set, kept as their distinct
+    values and an index back to the register. Nothing is built in
     ``__init__``.
     """
 
@@ -165,13 +166,20 @@ class AnalyticEngine:
         return phase, dec
 
     def wait_factor(self, t, sites=None, photon_shift=True, decay=True):
-        """Per-index laser-off factor exp((i*phase - decay) * t)."""
+        """Per-index laser-off factor exp((i*phase - decay) * t).
+
+        The exponents take few distinct values (109 of 512 for the full
+        wait, 6 without shift and decay), so only those are exponentiated
+        and spread by index: each element is still ``exp`` of the same
+        product, so the factor is byte-equal to ``np.exp(rate * t)``.
+        """
         key = (None if sites is None else tuple(sites), photon_shift, decay)
-        rate = self._wait_rates.get(key)
-        if rate is None:
+        table = self._wait_rates.get(key)
+        if table is None:
             phase, dec = self.wait_exponents(sites, photon_shift, decay)
-            rate = self._wait_rates[key] = 1j * phase - dec
-        return np.exp(rate * t)
+            table = self._wait_rates[key] = np.unique(1j * phase - dec, return_inverse=True)
+        rates, index = table
+        return np.exp(rates * t).take(index)
 
     def apply_wait(self, psi, t, sites=None, photon_shift=True, decay=True):
         return psi * self.wait_factor(t, sites, photon_shift, decay)
@@ -190,7 +198,7 @@ class AnalyticEngine:
     def _rotate(psi, pulse_map, error):
         """Pairwise rotation; refuses amplitude on rows the map does not cover."""
         cos_fac, isin_fac, partner, guard = pulse_map
-        if guard.size and float(np.max(np.abs(psi[guard]))) > 1e-12:
+        if guard.size and float(np.abs(psi[guard]).max()) > 1e-12:
             raise PulseTruncationError(error)
         return cos_fac * psi + isin_fac * psi[partner]
 

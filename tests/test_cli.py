@@ -7,7 +7,7 @@ import pytest
 
 from cavtel import cli
 from cavtel.checks import CheckOutcome
-from cavtel.params import TWO_PI
+from cavtel.params import TWO_PI, reference_params
 
 
 REFERENCE_MHZ = {
@@ -183,6 +183,29 @@ def test_config_errors_exit_one(tmp_path, capsys, mutate, fragment):
     code = _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == 1
     assert fragment in capsys.readouterr().err
+
+
+def test_rates_that_underflow_a_derived_rate_exit_one(tmp_path, capsys):
+    # rabi_exchange underflows to 0, and the pulse solver divides by it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": "ideal",
+        "trajectories": 2,
+        "params_mhz": {**REFERENCE_MHZ, "laser_detuning": 1e300, "rabi_strong": 1e-300, "rabi_weak": 1e-301},
+    }))
+    assert _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "rabi_exchange" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_summary_states_the_derived_rates(tmp_path):
+    assert _run_main(["run", "--backend", "ideal", "--trajectories", "2", "--output-dir", str(tmp_path)]) == 0
+    derived = json.loads((tmp_path / "summary.json").read_text())["derived_rad_per_us"]
+    params = reference_params()
+    assert list(derived) == ["shift_strong", "detuning_offset", "weak_detuning", "shift_weak",
+                             "shift_photon", "rabi_raman", "rabi_exchange", "cross_weak_cavity"]
+    assert derived == {name: getattr(params, name) for name in derived}
 
 
 def test_malformed_json_and_missing_file(tmp_path, capsys):

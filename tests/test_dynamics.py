@@ -31,7 +31,8 @@ from cavtel.dynamics import (
     survival_solve,
 )
 from cavtel.params import desk_params, reference_params
-from cavtel.protocol import protocol_space
+from cavtel.protocol import NumericBackend, protocol_space
+from cavtel.pulses import solve_pulse_times
 from cavtel.spaces import Register, SiteShape, SparseOp, norm2, normalized
 
 
@@ -605,3 +606,37 @@ def test_walk_norm_reuse_is_bit_identical(params, dense):
         jumped += bool(run.clicks)
         quiet += not run.clicks
     assert jumped and quiet
+
+
+def test_diagonal_factor_is_the_direct_exp_byte_for_byte():
+    # The effective protocol register with lasers off: the detection-window propagator.
+    params = desk_params()
+    space = protocol_space(levels=2, cutoff=4)
+    prop = PropagatorCache(space, params, tier="effective").get(())
+    assert isinstance(prop, DiagonalPropagator)
+    assert prop._exponents is None  # made at the first factor, not at build
+    rate = 1j * prop.phase_rate - prop.decay_rate
+    times = solve_pulse_times(params)
+    for t in (0.0, 1e-12, times.swap_all, times.detect, 1e3 * times.detect):
+        assert prop._factor(t).tobytes() == np.exp(rate * t).tobytes(), t
+    assert len(prop._exponents[0]) < space.dim
+
+
+def test_zero_length_walk_may_alias_its_input_but_no_caller_writes_into_it(params):
+    space, prop, channels = _photon_setup(params)
+    psi = normalized(space.ket("01") + space.ket("02"))
+    kept = psi.copy()
+    run = evolve_with_jumps(psi, [Segment(0.0, prop)], channels, np.random.default_rng(0))
+    assert run.psi is psi and run.clicks == [] and run.elapsed == 0.0
+    assert run.normalized_state() is not psi
+    # A walk that does advance leaves its input as it was too.
+    evolve_with_jumps(psi, [Segment(20.0 / params.cavity_decay, prop)], channels, np.random.default_rng(1))
+    assert psi.tobytes() == kept.tobytes()
+    # The backend hands back a fresh state from a zero-length wait.
+    backend = NumericBackend(desk_params())
+    start = backend.initial_state(0.6, 0.8)
+    before = start.copy()
+    out, clicks, elapsed = backend.phase_wait(start, 0.0, np.random.default_rng(0))
+    assert out is not start and clicks == [] and elapsed == 0.0
+    out[:] = 0.0
+    assert start.tobytes() == before.tobytes()

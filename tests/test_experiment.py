@@ -63,6 +63,9 @@ def test_receiver_fidelity_crafted_states():
     entangled = (space.ket("0000;100") + space.ket("1000;010")) / np.sqrt(2)
     s = 1 / np.sqrt(2)
     assert receiver_fidelity(space, entangled, s, s) == pytest.approx(0.5)
+    # The receiver must be the register's last site.
+    with pytest.raises(ValueError, match="last site"):
+        receiver_fidelity(Register([*space.sites, space.sites[1]]), np.zeros(space.dim * 16), 1.0, 0.0)
 
 
 def test_resolve_params_profiles_and_override():

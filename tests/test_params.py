@@ -54,6 +54,26 @@ def test_rejects_rates_that_are_not_finite_and_positive(bad):
             PhysicalParams(**{**good, field: bad})
 
 
+def test_rejects_bare_rates_whose_derived_rates_leave_float_range():
+    # rabi_exchange (and the Raman rate and detuning offset) underflow to 0.
+    with pytest.raises(ValueError, match="rabi_exchange") as err:
+        PhysicalParams.from_mhz(laser_detuning=1e300, rabi_strong=1e-300, rabi_weak=1e-301,
+                                cavity_coupling=0.07, atom_decay=1e-4, cavity_decay=1e-7)
+    assert "rabi_raman" in str(err.value) and "detuning_offset" in str(err.value)
+    # shift_strong = rabi_strong**2 / laser_detuning: the square overflows.
+    with pytest.raises(ValueError, match="shift_strong"):
+        PhysicalParams(**{**dataclasses.asdict(reference_params()), "rabi_strong": 1e200})
+
+
+def test_validity_scattering_ratio_does_not_underflow():
+    # (rabi_strong / laser_detuning)**2 underflows to 0 here, so the form
+    # cavity_decay / (atom_decay * (rabi_strong / laser_detuning)**2) divided by 0.
+    p = PhysicalParams(laser_detuning=1e170, rabi_strong=1.0, rabi_weak=1e-10, cavity_coupling=1e-20,
+                       atom_decay=1e150, cavity_decay=1e-150)
+    ratio = {row.name: row.ratio for row in p.validity()}["cavity_decay over scattering rate"]
+    assert ratio == pytest.approx(1e40)
+
+
 def test_params_are_frozen():
     p = reference_params()
     with pytest.raises(dataclasses.FrozenInstanceError):

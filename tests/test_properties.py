@@ -19,8 +19,9 @@ decay is not diagonal, the search's jump time must lie in (0, t_hi] within
 ``expm_multiply`` of the whole-register Hamiltonian on random registers of
 one to three sites. On random register layouts, every basis label must
 survive index, string and per-site round trips, and the flat index must
-count the labels in lexicographic order. An ensemble's first trajectories
-must not depend on how many trajectories follow them.
+count the labels in lexicographic order. ``receiver_fidelity`` must match the
+overlap with the receiver's reduced density matrix to 1e-14. An ensemble's
+first trajectories must not depend on how many trajectories follow them.
 """
 
 import itertools
@@ -46,8 +47,9 @@ from cavtel.dynamics import (
     make_propagator,
     survival_solve,
 )
-from cavtel.experiment import EnsembleConfig, run_ensemble
+from cavtel.experiment import EnsembleConfig, receiver_fidelity, run_ensemble
 from cavtel.params import reference_params
+from cavtel.protocol import protocol_space
 from cavtel.pulses import PULSE_INTENT, AnalyticEngine, PulseTruncationError
 from cavtel.spaces import Register, SiteShape, SparseOp, norm2, normalized
 
@@ -484,6 +486,27 @@ def test_labels_round_trip(shapes, data):
     for site, part in enumerate(label):
         local = reg.site_ket(site, part)
         assert np.array_equal(reg.reduced_density(psi, site), np.outer(local, local.conj()))
+
+
+# -- receiver fidelity -------------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.complex_numbers(max_magnitude=2.0), st.complex_numbers(max_magnitude=2.0),
+       st.booleans())
+def test_receiver_fidelity_is_the_reduced_density_overlap(seed, a, b, near_target):
+    assume(abs(a) ** 2 + abs(b) ** 2 > 1e-6)
+    scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    a, b = a / scale, b / scale
+    space = protocol_space()
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    if near_target:  # mostly the teleported qubit, as a success leaves it
+        psi = 1e-3 * psi + a * space.ket("0000;100") + b * space.ket("0000;010")
+    psi = normalized(psi)
+    target = a * space.site_ket(1, "100") + b * space.site_ket(1, "010")
+    want = float(np.real(np.conj(target) @ space.reduced_density(psi, 1) @ target))
+    assert abs(receiver_fidelity(space, psi, a, b) - want) <= 1e-14
 
 
 # -- ensemble seeding ------------------------------------------------------------------

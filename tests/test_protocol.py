@@ -1,6 +1,7 @@
 """Protocol driver, phase bookkeeping, and backend behavior."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from cavtel.protocol import (
     reset_target_state,
     run_protocol,
 )
-from cavtel.pulses import solve_pulse_times
+from cavtel.pulses import FLIP_INTENT_ANGLE, PULSE_INTENT, PulseTruncationError, solve_pulse_times
 from cavtel.spaces import norm2, normalized
 
 
@@ -195,6 +196,72 @@ def test_reset_target_needs_snapshot(ideal, rules):
 def test_ideal_backend_reports_no_exposure(ideal):
     psi = ideal.space.ket("1013;110")
     assert ideal.truncation_exposure(psi, [(0, 0, "swap")]) == 0.0
+
+
+def _drive_sets(roles):
+    """Every drive set the driver uses, with the atom roles ``(d1, d2, anc)``."""
+    d1, d2, anc = roles
+    return [
+        [(0, anc, "swap"), (1, 0, "swap")],  # entangle
+        [(0, anc, "flip"), (1, 0, "flip")],  # entangle retry
+        [(0, d1, "swap")], [(0, anc, "swap_all")], [(0, d2, "swap_double")],  # encode
+        [(0, anc, "swap_double"), (1, 1, "half_swap")],
+        [(0, d1, "flip")], [(0, d1, "flip"), (1, 0, "flip")], [(1, 1, "flip")],  # resets
+        [(0, anc, "swap")], [(1, 0, "swap")], [(1, 1, "swap")],  # confirm, recovery
+    ]
+
+
+def _sequential_block(backend, psi, drives):
+    """The pulse block as one loop over the drives, idle waits from the direct exp."""
+    times, engine = backend.times, backend.engine
+
+    def idle(site, t):
+        phase, dec = engine.wait_exponents(sites=[site])
+        return np.exp((1j * phase - dec) * t)
+
+    span = max(times.duration(kind) for _, _, kind in drives)
+    driven = {site for site, _, _ in drives}
+    for site in range(len(backend.space.sites)):
+        if site not in driven:
+            psi = psi * idle(site, span)
+    for site, atom, kind in drives:
+        dur = times.duration(kind)
+        if dur < span:
+            psi = psi * idle(site, span - dur)
+        if kind == "flip":
+            psi = engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=FLIP_INTENT_ANGLE)
+        else:
+            psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent=PULSE_INTENT[kind])
+    return psi, span
+
+
+@pytest.mark.parametrize("roles", list(itertools.permutations(range(3))))
+def test_planned_pulse_block_matches_the_sequential_loop(roles):
+    backend = IdealBackend(reference_params())
+    space = backend.space
+    rng = np.random.default_rng(sum(r * 3**k for k, r in enumerate(roles)))
+    vacuum = backend.engine.total_photons == 0
+    below_top = np.all([space.photon_numbers(s) < shape.cutoff for s, shape in enumerate(space.sites)], axis=0)
+    for drives in _drive_sets(roles):
+        flips = any(kind == "flip" for _, _, kind in drives)
+        mask = vacuum if flips else below_top  # where no pulse's guard trips
+        for _ in range(2):  # the second call runs from the kept plan
+            psi = normalized(np.where(mask, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim), 0.0))
+            want, span = _sequential_block(backend, psi, drives)
+            got, clicks, got_span = backend.pulse_block(psi, drives, rng)
+            assert got.tobytes() == want.tobytes(), drives
+            assert got_span == span and clicks == []
+
+
+def test_planned_pulse_block_still_raises_on_truncation():
+    backend = IdealBackend(reference_params())
+    space = backend.space
+    drives = [(0, 2, "swap"), (1, 0, "swap")]
+    backend.pulse_block(space.ket("0010;000"), drives, None)  # the plan is kept now
+    with pytest.raises(PulseTruncationError):
+        backend.pulse_block(normalized(space.ket("0010;000") + space.ket("0000;103")), drives, None)
+    with pytest.raises(PulseTruncationError):
+        backend.pulse_block(space.ket("0011;000"), [(0, 2, "flip"), (1, 0, "flip")], None)
 
 
 def test_ideal_detect_window_counts_photons(ideal):

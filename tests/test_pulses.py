@@ -190,6 +190,22 @@ def test_apply_wait_matches_exponent_formula():
     assert np.allclose(eng.apply_wait(psi, t), psi * np.exp((1j * phase - dec) * t))
 
 
+@pytest.mark.parametrize("sites", [None, [0], [1]])
+@pytest.mark.parametrize("photon_shift", [True, False])
+@pytest.mark.parametrize("decay", [True, False])
+def test_wait_factor_is_the_direct_exp_byte_for_byte(ref_times, sites, photon_shift, decay):
+    # The factor exponentiates only the distinct exponents; each element must
+    # still be exp of the same product as the direct form, to the last bit.
+    eng = AnalyticEngine(Register([SiteShape(3, 2, 3), SiteShape(2, 2, 3)]), reference_params())
+    phase, dec = eng.wait_exponents(sites, photon_shift, decay)
+    rate = 1j * phase - dec
+    for t in (0.0, 1e-12, ref_times.swap_all, ref_times.detect, 1e3 * ref_times.detect):
+        got = eng.wait_factor(t, sites=sites, photon_shift=photon_shift, decay=decay)
+        assert got.tobytes() == np.exp(rate * t).tobytes(), t
+    distinct, _ = eng._wait_rates[(None if sites is None else tuple(sites), photon_shift, decay)]
+    assert len(distinct) < eng.space.dim
+
+
 def test_sector_tools(engine):
     space = engine.space
     psi = normalized(space.ket("100") + space.ket("101") + space.ket("112"))
