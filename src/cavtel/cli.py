@@ -23,6 +23,7 @@ from .experiment import (
 )
 from .params import PROFILES, PhysicalParams
 from .protocol import BACKENDS
+from .pulses import solve_pulse_times
 
 
 class ConfigError(Exception):
@@ -111,6 +112,9 @@ def _resolve(args) -> tuple[EnsembleConfig, str, str | None]:
     given = {key: data[key] for key in RUN_SETTINGS if key in data}
     try:
         config = EnsembleConfig(**given, amp_in=_parse_input(data.get("input")), params=_build_params(data))
+        # The run solves them again; solved here, a duration out of float
+        # range is a config error rather than a failed run.
+        solve_pulse_times(config.resolve_params(), config.detect_lifetimes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, data.get("output_dir", "."), data.get("trace")

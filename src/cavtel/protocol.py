@@ -19,7 +19,11 @@ phases:
 
 Every backend exposes the same four primitives (initial state, pulse
 block, detection window, phase wait), so the driver is identical for the
-closed-form engine and the Monte Carlo tiers.
+closed-form engine and the Monte Carlo tiers. The closed-form engine runs
+on a register with at most 2 photons per site (288 states), since no
+branch of the driver puts a third photon in a cavity; the exhaustive
+branch walk ``test_every_driver_branch_fits_the_ideal_register`` in
+``tests/test_protocol.py`` proves it.
 """
 
 from __future__ import annotations
@@ -219,24 +223,37 @@ class IdealBackend(_Backend):
     """Closed-form engine: intended pulse angles, detection as an exact
     photon-number measurement with exponentially sampled click times.
 
+    The register is two sites with at most 2 photons each (288 states,
+    not the 512 of cutoff 3): no branch of the driver ever puts a third
+    photon in a cavity, so a third rung would only carry zeros. The test
+    ``test_every_driver_branch_fits_the_ideal_register`` proves it by an
+    exhaustive walk of the driver's click-count tree. The closed-form maps
+    still raise ``PulseTruncationError`` on any amplitude that would climb
+    past the cutoff, so nothing is truncated silently.
+
     A run repeats fewer than 30 drive sets, so each one's pulse block is
     planned on first use and kept: its span, the idle factors of the sites
     it leaves undriven, and per drive the idle factor before its pulse (or
-    ``None``), its kind, site, atom, duration and intent. ``pulse_block``
-    applies the plan in that order. No plan is built in ``__init__``.
+    ``None``), its kind, site, atom, duration, intent and the engine's memo
+    key for that pulse. ``pulse_block`` applies the plan in that order. No
+    plan is built in ``__init__``.
     """
 
     name = "ideal"
+    # Holds every state the driver reaches; proved by
+    # test_protocol.py::test_every_driver_branch_fits_the_ideal_register.
+    PHOTON_CUTOFF = 2
 
     def __init__(self, params: PhysicalParams, times: PulseTimes | None = None):
         self.params = params
         self.times = times or solve_pulse_times(params)
-        super().__init__(protocol_space())
+        super().__init__(protocol_space(cutoff=self.PHOTON_CUTOFF))
         self.engine = AnalyticEngine(self.space, params)
         self._ports = [ch.op for ch in detector_channels(self.space, params)]
         # Each photon sector decays as one term of the survival sum.
         self._sectors = int(self.engine.total_photons.max()) + 1
         self._sector_rates = 2.0 * params.cavity_decay * np.arange(self._sectors)
+        self._lit = np.flatnonzero(self.engine.total_photons)  # rows the vacuum projection clears
         self._plans = {}
 
     def _plan(self, drives):
@@ -250,8 +267,13 @@ class IdealBackend(_Backend):
         for site, atom, kind in drives:
             dur = times.duration(kind)
             pre = engine.wait_factor(span - dur, sites=[site]) if dur < span else None
-            intent = FLIP_INTENT_ANGLE if kind == "flip" else PULSE_INTENT[kind]
-            steps.append((pre, kind, site, atom, dur, intent))
+            if kind == "flip":
+                intent = FLIP_INTENT_ANGLE
+                key = engine.flip_key(site, atom, dur, intent)
+            else:
+                intent = PULSE_INTENT[kind]
+                key = engine.exchange_key(site, atom, dur, intent)
+            steps.append((pre, kind, site, atom, dur, intent, key))
         return span, idle, steps
 
     def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
@@ -263,13 +285,13 @@ class IdealBackend(_Backend):
         engine = self.engine
         for factor in idle:
             psi = psi * factor
-        for pre, kind, site, atom, dur, intent in steps:
+        for pre, kind, site, atom, dur, intent, key in steps:
             if pre is not None:
                 psi = psi * pre
             if kind == "flip":
-                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=intent)
+                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent, key)
             else:
-                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent=intent)
+                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent, key)
         return psi, [], span
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
@@ -283,7 +305,9 @@ class IdealBackend(_Backend):
             still = weights[0]
             u = rng.random()
             if u <= still:
-                psi = normalized(engine.project_sector(psi, 0))
+                psi = psi.copy()
+                psi[self._lit] = 0.0  # engine.project_sector(psi, 0), without its mask
+                psi = normalized(psi)
                 break
             # u above the no-click weight puts the root at a finite time.
             dt = survival_solve(weights, self._sector_rates, u, math.inf)

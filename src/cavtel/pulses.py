@@ -103,7 +103,7 @@ def solve_pulse_times(params: PhysicalParams, detect_lifetimes=DETECT_LIFETIMES)
     rate = params.rabi_exchange
     n_all, m_all, res_all = _best_winding(HALF_PI, start=0)
     n_dbl, m_dbl, res_dbl = _best_winding(0.0, start=1)
-    return PulseTimes(
+    times = PulseTimes(
         swap=HALF_PI / rate,
         swap_all=(HALF_PI + TWO_PI * n_all) / rate,
         swap_double=(TWO_PI * n_dbl) / rate,
@@ -114,6 +114,12 @@ def solve_pulse_times(params: PhysicalParams, detect_lifetimes=DETECT_LIFETIMES)
         swap_double_windings=(n_dbl, m_dbl),
         swap_double_residual=res_dbl,
     )
+    # Finite rates can still be small enough to give an infinite duration.
+    bad = [name for name in ("swap", "swap_all", "swap_double", "flip", "detect")
+           if not math.isfinite(getattr(times, name))]
+    if bad:
+        raise ValueError(f"pulse durations must be finite, not so here: {', '.join(bad)}")
+    return times
 
 
 class PulseTruncationError(RuntimeError):
@@ -168,10 +174,11 @@ class AnalyticEngine:
     def wait_factor(self, t, sites=None, photon_shift=True, decay=True):
         """Per-index laser-off factor exp((i*phase - decay) * t).
 
-        The exponents take few distinct values (109 of 512 for the full
-        wait, 6 without shift and decay), so only those are exponentiated
-        and spread by index: each element is still ``exp`` of the same
-        product, so the factor is byte-equal to ``np.exp(rate * t)``.
+        The exponents take few distinct values (60 of 288 for the full
+        wait on the ideal register, 6 without shift and decay), so only
+        those are exponentiated and spread by index: each element is still
+        ``exp`` of the same product, so the factor is byte-equal to
+        ``np.exp(rate * t)``.
         """
         key = (None if sites is None else tuple(sites), photon_shift, decay)
         table = self._wait_rates.get(key)
@@ -186,13 +193,11 @@ class AnalyticEngine:
 
     # -- laser pulses ---------------------------------------------------------------
 
-    def _pulse_map(self, key, build):
-        entry = self._pulse_maps.get(key)
-        if entry is None:
-            if len(self._pulse_maps) >= self.MEMO_LIMIT:
-                self._pulse_maps.clear()
-            entry = self._pulse_maps[key] = build()
-        return entry
+    def _remember(self, key, pulse_map):
+        if len(self._pulse_maps) >= self.MEMO_LIMIT:
+            self._pulse_maps.clear()
+        self._pulse_maps[key] = pulse_map
+        return pulse_map
 
     @staticmethod
     def _rotate(psi, pulse_map, error):
@@ -202,14 +207,24 @@ class AnalyticEngine:
             raise PulseTruncationError(error)
         return cos_fac * psi + isin_fac * psi[partner]
 
-    def apply_exchange_pulse(self, psi, site, atom, t, intent=None):
+    @staticmethod
+    def exchange_key(site, atom, t, intent=None):
+        """Memo key of ``apply_exchange_pulse`` with these arguments."""
+        return ("exchange", site, atom, float(t), tuple(sorted(intent.items())) if intent else ())
+
+    def apply_exchange_pulse(self, psi, site, atom, t, intent=None, key=None):
         """One strong-laser pulse on one atom, exact up to in-block averaging.
 
         ``intent`` optionally pins the rotation angle per excitation sector;
         sectors it omits rotate by the literal sqrt(beta)*rabi_exchange*t.
+        A caller that repeats the pulse may pass ``key``, the
+        ``exchange_key`` of the same arguments, so it is not rebuilt.
         """
-        key = ("exchange", site, atom, float(t), tuple(sorted(intent.items())) if intent else ())
-        pulse_map = self._pulse_map(key, lambda: self._exchange_map(site, atom, t, intent))
+        if key is None:
+            key = self.exchange_key(site, atom, t, intent)
+        pulse_map = self._pulse_maps.get(key)
+        if pulse_map is None:
+            pulse_map = self._remember(key, self._exchange_map(site, atom, t, intent))
         return self._rotate(psi, pulse_map, "exchange pulse reached the photon cutoff")
 
     def _exchange_map(self, site, atom, t, intent):
@@ -237,14 +252,23 @@ class AnalyticEngine:
         fac = np.exp(1j * (p.detuning_offset * (n0x + 1) + 0.5 * p.shift_photon * shift_q) * t)
         return fac * np.cos(angles), fac * (1j * np.sin(angles)), partner, np.flatnonzero(beta < 0)
 
-    def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None):
+    @staticmethod
+    def flip_key(site, atom, t, intent_angle=None):
+        """Memo key of ``apply_flip_pulse`` with these arguments."""
+        return ("flip", site, atom, float(t), intent_angle)
+
+    def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None, key=None):
         """One two-laser pulse swapping levels 1 and 0 of one atom.
 
         Valid on photon-free states; photon-carrying components would leak
         through the exchange coupling, which this map does not include.
+        ``key``, if given, is the ``flip_key`` of the same arguments.
         """
-        key = ("flip", site, atom, float(t), intent_angle)
-        pulse_map = self._pulse_map(key, lambda: self._flip_map(site, atom, t, intent_angle))
+        if key is None:
+            key = self.flip_key(site, atom, t, intent_angle)
+        pulse_map = self._pulse_maps.get(key)
+        if pulse_map is None:
+            pulse_map = self._remember(key, self._flip_map(site, atom, t, intent_angle))
         return self._rotate(psi, pulse_map, "flip pulse applied while photons remain")
 
     def _flip_map(self, site, atom, t, intent_angle):

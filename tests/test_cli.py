@@ -199,6 +199,22 @@ def test_rates_that_underflow_a_derived_rate_exit_one(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_rates_that_give_an_infinite_pulse_duration_exit_one(tmp_path, capsys):
+    # Every derived rate is finite and > 0, but rabi_exchange and rabi_raman
+    # are so small that the pulse durations overflow.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": "ideal",
+        "trajectories": 2,
+        "params_mhz": {"laser_detuning": 1e300, "rabi_strong": 1e-5, "rabi_weak": 1e-6,
+                       "cavity_coupling": 1e-7, "atom_decay": 1e-4, "cavity_decay": 1e-7},
+    }))
+    assert _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "pulse durations" in err and "swap" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_summary_states_the_derived_rates(tmp_path):
     assert _run_main(["run", "--backend", "ideal", "--trajectories", "2", "--output-dir", str(tmp_path)]) == 0
     derived = json.loads((tmp_path / "summary.json").read_text())["derived_rad_per_us"]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cavtel.dynamics import survival_solve
+from cavtel.dynamics import Click, survival_solve
 from cavtel.experiment import receiver_fidelity
 from cavtel.params import desk_params, reference_params
 from cavtel.protocol import (
@@ -52,6 +52,8 @@ def _find(ideal, pred, seeds=range(200), **kwargs):
 
 def test_protocol_space_dimensions():
     assert protocol_space().dim == 512
+    assert protocol_space(cutoff=2).dim == 288
+    assert IdealBackend(reference_params()).space.dim == 288
     assert protocol_space(levels=3).dim == 3888
     assert protocol_space(levels=2, cutoff=4).dim == 800
 
@@ -194,7 +196,8 @@ def test_reset_target_needs_snapshot(ideal, rules):
 
 
 def test_ideal_backend_reports_no_exposure(ideal):
-    psi = ideal.space.ket("1013;110")
+    top = ideal.space.sites[0].cutoff
+    psi = ideal.space.ket(f"101{top};110")
     assert ideal.truncation_exposure(psi, [(0, 0, "swap")]) == 0.0
 
 
@@ -257,9 +260,10 @@ def test_planned_pulse_block_still_raises_on_truncation():
     backend = IdealBackend(reference_params())
     space = backend.space
     drives = [(0, 2, "swap"), (1, 0, "swap")]
+    top = space.sites[1].cutoff
     backend.pulse_block(space.ket("0010;000"), drives, None)  # the plan is kept now
     with pytest.raises(PulseTruncationError):
-        backend.pulse_block(normalized(space.ket("0010;000") + space.ket("0000;103")), drives, None)
+        backend.pulse_block(normalized(space.ket("0010;000") + space.ket(f"0000;10{top}")), drives, None)
     with pytest.raises(PulseTruncationError):
         backend.pulse_block(space.ket("0011;000"), [(0, 2, "flip"), (1, 0, "flip")], None)
 
@@ -314,6 +318,140 @@ def test_ideal_click_search_has_no_root_at_or_below_the_no_click_weight(ideal):
     weights = np.array([0.5, 0.5] + [0.0] * (len(ideal._sector_rates) - 2))
     for u in (0.25, 0.5):
         assert survival_solve(weights, ideal._sector_rates, u, math.inf) == -1.0
+
+
+PRUNE = 1e-20  # a count path with less Born weight than this is not walked
+
+
+class _BranchWalk(IdealBackend):
+    """IdealBackend whose detection windows follow a script of click counts.
+
+    A click comes one cavity lifetime into the window, through the engine's
+    wait and detector ports, at the ``sign`` port unless that port is empty;
+    the silence that closes a window is the real ``detect_window`` with a
+    zero draw. Click times are fixed, not sampled, so two registers see the
+    same times to the last bit. A window past the end of the script takes
+    its first click count of enough Born weight and leaves the others on
+    ``pending``, so one ``run_protocol`` call follows one path of the tree
+    to its leaf. Calls are memoised by the counts chosen so far and their
+    place in the run, so the paths reuse the states of the prefixes they
+    share.
+    """
+
+    def __init__(self, sign):
+        super().__init__(reference_params())
+        self.side = 0 if sign > 0 else 1  # index into the detector ports, plus first
+        top = np.any([self.space.photon_numbers(s) > 2 for s in range(len(self.space.sites))], axis=0)
+        self.three_photon_rows = np.flatnonzero(top)
+        self.largest_three_photon_amplitude = 0.0
+        self.memo = {}
+        self.pending = []
+
+    def follow(self, script, weight):
+        self.script, self.weight, self.choices, self.calls = script, weight, [], 0
+
+    def _memo(self, compute):
+        key = (tuple(self.choices), self.calls)
+        self.calls += 1
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = compute()
+            if self.three_photon_rows.size:
+                amp = float(np.abs(out[0][self.three_photon_rows]).max())
+                self.largest_three_photon_amplitude = max(self.largest_three_photon_amplitude, amp)
+        self.last = out[0]
+        return out
+
+    def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
+        return self._memo(lambda: IdealBackend.pulse_block(self, psi, drives, rng, t0, stage))
+
+    def phase_wait(self, psi, duration, rng, t0=0.0, stage=""):
+        return self._memo(lambda: IdealBackend.phase_wait(self, psi, duration, rng, t0, stage))
+
+    def _weights(self, psi):
+        return np.bincount(self.engine.total_photons, weights=np.abs(psi) ** 2, minlength=self._sectors)
+
+    def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
+        window = len(self.choices)
+        if window < len(self.script):
+            count = self.script[window]
+        else:
+            weights = self._weights(psi)
+            if stop_after_first:
+                weights = np.array([weights[0], 1.0 - weights[0]])
+            counts = [k for k, w in enumerate(weights) if self.weight * w >= PRUNE]
+            prefix = tuple(self.choices)
+            for k in counts[1:]:
+                self.pending.append((prefix + (k,), self.weight * weights[k]))
+            count = counts[0]
+            self.weight *= weights[count]
+        self.choices.append(count)
+        return self._memo(lambda: self._forced(psi, count, t0, stage, stop_after_first))
+
+    def _forced(self, psi, count, t0, stage, stop_after_first):
+        clicks, elapsed = [], 0.0
+        dt = 1.0 / self.params.cavity_decay
+        for _ in range(count):
+            tilde = self.engine.apply_wait(psi, dt)
+            ports = [op.apply(tilde) for op in self._ports]
+            weights = [norm2(port) for port in ports]
+            side = self.side if weights[self.side] > 1e-12 * sum(weights) else 1 - self.side
+            psi = ports[side] / np.sqrt(weights[side])
+            elapsed += dt
+            channel = ("detector_plus", "detector_minus")[side]
+            clicks.append(Click(t0 + elapsed, channel, "detector", 1 - 2 * side, stage))
+        if stop_after_first and count:
+            return psi, clicks, elapsed
+        psi, _, _ = IdealBackend.detect_window(self, psi, _QueuedRng(0.0), t0 + elapsed, stage, stop_after_first)
+        return psi, clicks, self.times.detect
+
+
+class _BranchWalkCutoff3(_BranchWalk):
+    PHOTON_CUTOFF = 3
+
+
+def _walk_branches(backend, a, b, max_repetitions=6):
+    """{count script: (outcome, Born weight, last state)} of every leaf."""
+    leaves = {}
+    backend.pending = [((), 1.0)]
+    while backend.pending:
+        backend.follow(*backend.pending.pop())
+        rec = run_protocol(backend, a, b, None, max_repetitions=max_repetitions)
+        last = backend.last if rec.final_state is None else rec.final_state
+        leaves[tuple(backend.choices)] = (rec.outcome, backend.weight, last)
+    return leaves
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_every_driver_branch_fits_the_ideal_register(sign):
+    # Every click-count path of the driver up to budget 6, pruned only below
+    # PRUNE, walked on the 512-state register (cutoff 3) and on the ideal
+    # engine's own register (cutoff 2). Click times only move phases, so one
+    # time per click covers the support.
+    a, b = 0.48 + 0.36j, 0.8
+    wide, narrow = _BranchWalkCutoff3(sign), _BranchWalk(sign)
+    wide_leaves = _walk_branches(wide, a, b)
+    narrow_leaves = _walk_branches(narrow, a, b)  # raises PulseTruncationError on any miss
+
+    # No reached state puts amplitude on a third photon in a site.
+    assert wide.three_photon_rows.size and wide.largest_three_photon_amplitude <= 1e-12
+    # 127 success paths (2**k failed-round histories before a main click in
+    # round k <= 6) with a click or a silent confirm, and 128 exhausted.
+    outcomes = [outcome for outcome, _, _ in wide_leaves.values()]
+    assert len(wide_leaves) == 2 * 127 + 128
+    assert outcomes.count("exhausted_repetitions") == 128
+    assert sum(weight for _, weight, _ in wide_leaves.values()) == pytest.approx(1.0, abs=1e-12)
+
+    embed = [wide.space.index(narrow.space.label(i)) for i in range(narrow.space.dim)]
+    assert narrow_leaves.keys() == wide_leaves.keys()
+    for script, (outcome, weight, psi) in narrow_leaves.items():
+        wide_outcome, wide_weight, wide_psi = wide_leaves[script]
+        assert outcome == wide_outcome and weight == pytest.approx(wide_weight, rel=1e-12)
+        lifted = np.zeros(wide.space.dim, dtype=complex)
+        lifted[embed] = psi
+        assert np.abs(lifted - wide_psi).max() <= 1e-14, script
+        if outcome in SUCCESS_OUTCOMES:
+            assert receiver_fidelity(narrow.space, psi, a, b) >= 1.0 - 1e-9
 
 
 def test_ideal_phase_wait_rotates_zero_levels(ideal):
