@@ -234,9 +234,9 @@ class IdealBackend(_Backend):
     A run repeats fewer than 30 drive sets, so each one's pulse block is
     planned on first use and kept: its span, the idle factors of the sites
     it leaves undriven, and per drive the idle factor before its pulse (or
-    ``None``), its kind, site, atom, duration, intent and the engine's memo
-    key for that pulse. ``pulse_block`` applies the plan in that order. No
-    plan is built in ``__init__``.
+    ``None``), its kind, site, atom, duration, intent and pulse map: the
+    only cache of pulse maps. ``pulse_block`` passes each map to the
+    engine's ``apply_*_pulse``. No plan is built in ``__init__``.
     """
 
     name = "ideal"
@@ -267,13 +267,9 @@ class IdealBackend(_Backend):
         for site, atom, kind in drives:
             dur = times.duration(kind)
             pre = engine.wait_factor(span - dur, sites=[site]) if dur < span else None
-            if kind == "flip":
-                intent = FLIP_INTENT_ANGLE
-                key = engine.flip_key(site, atom, dur, intent)
-            else:
-                intent = PULSE_INTENT[kind]
-                key = engine.exchange_key(site, atom, dur, intent)
-            steps.append((pre, kind, site, atom, dur, intent, key))
+            intent = FLIP_INTENT_ANGLE if kind == "flip" else PULSE_INTENT[kind]
+            build = engine.flip_map if kind == "flip" else engine.exchange_map
+            steps.append((pre, kind, site, atom, dur, intent, build(site, atom, dur, intent)))
         return span, idle, steps
 
     def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
@@ -285,13 +281,13 @@ class IdealBackend(_Backend):
         engine = self.engine
         for factor in idle:
             psi = psi * factor
-        for pre, kind, site, atom, dur, intent, key in steps:
+        for pre, kind, site, atom, dur, intent, pulse_map in steps:
             if pre is not None:
                 psi = psi * pre
             if kind == "flip":
-                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent, key)
+                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent, pulse_map)
             else:
-                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent, key)
+                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent, pulse_map)
         return psi, [], span
 
     def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
@@ -306,7 +302,7 @@ class IdealBackend(_Backend):
             u = rng.random()
             if u <= still:
                 psi = psi.copy()
-                psi[self._lit] = 0.0  # engine.project_sector(psi, 0), without its mask
+                psi[self._lit] = 0.0  # keep the vacuum sector only
                 psi = normalized(psi)
                 break
             # u above the no-click weight puts the root at a finite time.
@@ -510,6 +506,8 @@ class _Run:
 def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolRecord:
     """Run one trajectory; returns the record with outcome and final state."""
     scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    if not 0.0 < scale < math.inf:  # NaN fails both comparisons
+        raise ValueError("input amplitudes must be two finite numbers, not both zero")
     a, b = complex(a) / scale, complex(b) / scale
     rec = ProtocolRecord(amp_in=(a, b))
     run = _Run(backend, rng, rec, trace)

@@ -100,6 +100,8 @@ def _best_winding(single_target, start=0):
 
 
 def solve_pulse_times(params: PhysicalParams, detect_lifetimes=DETECT_LIFETIMES) -> PulseTimes:
+    if not 0.0 < detect_lifetimes < math.inf:
+        raise ValueError("detect_lifetimes must be finite and positive")
     rate = params.rabi_exchange
     n_all, m_all, res_all = _best_winding(HALF_PI, start=0)
     n_dbl, m_dbl, res_dbl = _best_winding(0.0, start=1)
@@ -129,15 +131,11 @@ class PulseTruncationError(RuntimeError):
 class AnalyticEngine:
     """Closed-form state maps for two-level sites under the reduced model.
 
-    A pulse's map depends only on its site, atom, duration and intent, and a
-    protocol run uses a handful of pulse kinds, so each map's coefficient
-    arrays are built on first use and memoised (at most ``MEMO_LIMIT`` at a
-    time); so are the wait exponents per site set, kept as their distinct
-    values and an index back to the register. Nothing is built in
-    ``__init__``.
+    ``exchange_map`` and ``flip_map`` build one pulse's map; a caller that
+    repeats the pulse keeps it and passes it to ``apply_*_pulse``, which
+    otherwise builds it fresh. The engine keeps only the wait exponents per
+    site set, as their distinct values and an index back to the register.
     """
-
-    MEMO_LIMIT = 64
 
     def __init__(self, space: Register, params: PhysicalParams):
         for shape in space.sites:
@@ -148,7 +146,6 @@ class AnalyticEngine:
         self._y = [space.photon_numbers(s) for s in range(len(space.sites))]
         self._n0 = [space.zero_level_count(s) for s in range(len(space.sites))]
         self.total_photons = np.sum(self._y, axis=0)
-        self._pulse_maps = {}
         self._wait_rates = {}
 
     # -- waits -------------------------------------------------------------------
@@ -193,12 +190,6 @@ class AnalyticEngine:
 
     # -- laser pulses ---------------------------------------------------------------
 
-    def _remember(self, key, pulse_map):
-        if len(self._pulse_maps) >= self.MEMO_LIMIT:
-            self._pulse_maps.clear()
-        self._pulse_maps[key] = pulse_map
-        return pulse_map
-
     @staticmethod
     def _rotate(psi, pulse_map, error):
         """Pairwise rotation; refuses amplitude on rows the map does not cover."""
@@ -207,27 +198,19 @@ class AnalyticEngine:
             raise PulseTruncationError(error)
         return cos_fac * psi + isin_fac * psi[partner]
 
-    @staticmethod
-    def exchange_key(site, atom, t, intent=None):
-        """Memo key of ``apply_exchange_pulse`` with these arguments."""
-        return ("exchange", site, atom, float(t), tuple(sorted(intent.items())) if intent else ())
-
-    def apply_exchange_pulse(self, psi, site, atom, t, intent=None, key=None):
+    def apply_exchange_pulse(self, psi, site, atom, t, intent=None, pulse_map=None):
         """One strong-laser pulse on one atom, exact up to in-block averaging.
 
         ``intent`` optionally pins the rotation angle per excitation sector;
         sectors it omits rotate by the literal sqrt(beta)*rabi_exchange*t.
-        A caller that repeats the pulse may pass ``key``, the
-        ``exchange_key`` of the same arguments, so it is not rebuilt.
+        A caller that repeats the pulse may pass ``pulse_map``, the
+        ``exchange_map`` of the same arguments, so it is not rebuilt.
         """
-        if key is None:
-            key = self.exchange_key(site, atom, t, intent)
-        pulse_map = self._pulse_maps.get(key)
         if pulse_map is None:
-            pulse_map = self._remember(key, self._exchange_map(site, atom, t, intent))
+            pulse_map = self.exchange_map(site, atom, t, intent)
         return self._rotate(psi, pulse_map, "exchange pulse reached the photon cutoff")
 
-    def _exchange_map(self, site, atom, t, intent):
+    def exchange_map(self, site, atom, t, intent=None):
         """(fac*cos, fac*i*sin, partner, cutoff rows) of one exchange pulse."""
         space, p = self.space, self.params
         x = space.atom_levels(site, atom)
@@ -252,26 +235,18 @@ class AnalyticEngine:
         fac = np.exp(1j * (p.detuning_offset * (n0x + 1) + 0.5 * p.shift_photon * shift_q) * t)
         return fac * np.cos(angles), fac * (1j * np.sin(angles)), partner, np.flatnonzero(beta < 0)
 
-    @staticmethod
-    def flip_key(site, atom, t, intent_angle=None):
-        """Memo key of ``apply_flip_pulse`` with these arguments."""
-        return ("flip", site, atom, float(t), intent_angle)
-
-    def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None, key=None):
+    def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None, pulse_map=None):
         """One two-laser pulse swapping levels 1 and 0 of one atom.
 
         Valid on photon-free states; photon-carrying components would leak
         through the exchange coupling, which this map does not include.
-        ``key``, if given, is the ``flip_key`` of the same arguments.
+        ``pulse_map``, if given, is the ``flip_map`` of the same arguments.
         """
-        if key is None:
-            key = self.flip_key(site, atom, t, intent_angle)
-        pulse_map = self._pulse_maps.get(key)
         if pulse_map is None:
-            pulse_map = self._remember(key, self._flip_map(site, atom, t, intent_angle))
+            pulse_map = self.flip_map(site, atom, t, intent_angle)
         return self._rotate(psi, pulse_map, "flip pulse applied while photons remain")
 
-    def _flip_map(self, site, atom, t, intent_angle):
+    def flip_map(self, site, atom, t, intent_angle=None):
         """(fac*cos, fac*i*sin, partner, photon rows) of one flip pulse."""
         space = self.space
         x = space.atom_levels(site, atom)
@@ -283,10 +258,3 @@ class AnalyticEngine:
         angle = self.params.rabi_raman * t if intent_angle is None else intent_angle
         fac = np.exp(1j * self.params.detuning_offset * (n0x + 1) * t)
         return fac * math.cos(angle), fac * (1j * math.sin(angle)), partner, np.flatnonzero(self.total_photons > 0)
-
-    # -- photon bookkeeping ------------------------------------------------------------
-
-    def project_sector(self, psi, n_total):
-        out = psi.copy()
-        out[self.total_photons != n_total] = 0.0
-        return out

@@ -1,12 +1,14 @@
-"""Property tests for the survival root-finder, the memoised pulse maps, the
+"""Property tests for the survival root-finder, the kept pulse maps, the
 sparse operator product, the block propagator and ensemble seeding.
 
 ``survival_solve`` is fed survival sums grouped by rate (what its callers
 pass) and the same sums spread over many basis states, and its roots are
 checked against a bisection of the test's own, in bounded and unbounded
-windows and for thresholds a few ulps above the rate-0 floor. The closed-form
-maps are checked against a fresh engine after the memo has been filled by
-earlier, different calls. ``SparseOp.__matmul__`` is checked against the
+windows and for thresholds a few ulps above the rate-0 floor. A pulse map
+built once and passed back must give the same bytes as a fresh build, twice,
+and still refuse amplitude past the cutoff; waits are checked against a fresh
+engine after the shared one's exponent tables have been filled by earlier,
+different calls. ``SparseOp.__matmul__`` is checked against the
 dense product on small random operators. ``make_propagator`` is checked
 against ``scipy.linalg.expm`` on random dissipative Hamiltonians made of
 blocks of mixed sizes in a shuffled basis, and its no-jump norm must not
@@ -189,11 +191,11 @@ def test_diagonal_survival_time_matches_ungrouped_solve(amps, u, t_max):
     assert abs(t - t_flat) <= 1e-12 * t_max + band
 
 
-# -- memoised closed-form maps ------------------------------------------------------
+# -- kept closed-form maps --------------------------------------------------------------
 
 SPACE = Register([SiteShape(2, 2, 3), SiteShape(1, 2, 2)])
 PARAMS = reference_params()
-# A few repeated durations, so the memo is hit as well as filled.
+# A few repeated durations, so the wait tables are hit as well as filled.
 DURATIONS = st.one_of(st.sampled_from([0.0, 1.0, 17.5, 250.0]), st.floats(0.0, 500.0))
 INTENTS = st.sampled_from([None, *PULSE_INTENT.values()])
 
@@ -216,11 +218,12 @@ def shared_engine():
 def test_memoised_exchange_pulse_matches_fresh_engine(shared_engine, site, atom, t, intent, seed):
     atom = min(atom, SPACE.sites[site].atoms - 1)
     psi = _safe_state(np.random.default_rng(seed), site, atom)
-    first = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent=intent)
-    again = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent=intent)
+    pulse_map = shared_engine.exchange_map(site, atom, t, intent)
+    first = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent, pulse_map)
+    again = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent, pulse_map)
     fresh = AnalyticEngine(SPACE, PARAMS).apply_exchange_pulse(psi, site, atom, t, intent=intent)
-    assert np.array_equal(first, fresh)
-    assert np.array_equal(again, fresh)
+    assert first.tobytes() == fresh.tobytes()
+    assert again.tobytes() == fresh.tobytes()
 
 
 @PROPERTY
@@ -232,15 +235,16 @@ def test_memoised_flip_pulse_matches_fresh_engine(shared_engine, site, atom, t, 
     psi = np.where(SPACE.photon_numbers(0) + SPACE.photon_numbers(1) == 0,
                    rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim), 0.0)
     psi = normalized(psi)
-    first = shared_engine.apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
-    again = shared_engine.apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
+    pulse_map = shared_engine.flip_map(site, atom, t, angle)
+    first = shared_engine.apply_flip_pulse(psi, site, atom, t, angle, pulse_map)
+    again = shared_engine.apply_flip_pulse(psi, site, atom, t, angle, pulse_map)
     fresh = AnalyticEngine(SPACE, PARAMS).apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
-    assert np.array_equal(first, fresh)
-    assert np.array_equal(again, fresh)
+    assert first.tobytes() == fresh.tobytes()
+    assert again.tobytes() == fresh.tobytes()
     photon = psi.copy()
     photon[np.flatnonzero(SPACE.photon_numbers(site) > 0)[0]] = 1e-6
     with pytest.raises(PulseTruncationError):
-        shared_engine.apply_flip_pulse(photon, site, atom, t, intent_angle=angle)
+        shared_engine.apply_flip_pulse(photon, site, atom, t, angle, pulse_map)
 
 
 @PROPERTY
@@ -261,20 +265,14 @@ def test_memoised_wait_matches_fresh_engine(shared_engine, t, sites, photon_shif
 @given(st.integers(0, 1), DURATIONS, INTENTS, st.floats(2e-12, 1.0))
 def test_cached_exchange_pulse_still_flags_cutoff(shared_engine, site, t, intent, top_amp):
     safe = _safe_state(np.random.default_rng(0), site, 0)
-    shared_engine.apply_exchange_pulse(safe, site, 0, t, intent=intent)
+    pulse_map = shared_engine.exchange_map(site, 0, t, intent)
+    shared_engine.apply_exchange_pulse(safe, site, 0, t, intent, pulse_map)
     cutoff = SPACE.sites[site].cutoff
     top = np.flatnonzero((SPACE.atom_levels(site, 0) == 1) & (SPACE.photon_numbers(site) == cutoff))
     hit = safe.copy()
     hit[top[0]] = top_amp
     with pytest.raises(PulseTruncationError):
-        shared_engine.apply_exchange_pulse(hit, site, 0, t, intent=intent)
-
-
-def test_memo_stays_bounded(shared_engine):
-    psi = _safe_state(np.random.default_rng(1), 0, 0)
-    for k in range(3 * AnalyticEngine.MEMO_LIMIT):
-        shared_engine.apply_exchange_pulse(psi, 0, 0, 1.0 + k)
-    assert len(shared_engine._pulse_maps) <= AnalyticEngine.MEMO_LIMIT
+        shared_engine.apply_exchange_pulse(hit, site, 0, t, intent, pulse_map)
 
 
 # -- sparse operator product ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pulse-time solver and the closed-form pulse maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ def test_detect_window_tracks_lifetimes():
     p = reference_params()
     short = solve_pulse_times(p, detect_lifetimes=3.0)
     assert short.detect == pytest.approx(3.0 / p.cavity_decay)
+
+
+@pytest.mark.parametrize("lifetimes", [0.0, -3.0, math.nan, math.inf])
+def test_solver_rejects_a_detection_window_that_is_not_positive(lifetimes):
+    with pytest.raises(ValueError, match="detect_lifetimes"):
+        solve_pulse_times(desk_params(), detect_lifetimes=lifetimes)
 
 
 def test_duration_lookup(ref_times):
@@ -205,13 +213,3 @@ def test_wait_factor_is_the_direct_exp_byte_for_byte(ref_times, sites, photon_sh
     distinct, _ = eng._wait_rates[(None if sites is None else tuple(sites), photon_shift, decay)]
     assert len(distinct) < eng.space.dim
 
-
-def test_sector_tools(engine):
-    space = engine.space
-    psi = normalized(space.ket("100") + space.ket("101") + space.ket("112"))
-    for n_total in (0, 1, 2):
-        assert norm2(engine.project_sector(psi, n_total)) == pytest.approx(1 / 3)
-    assert norm2(engine.project_sector(psi, 3)) == 0.0
-    only_one = engine.project_sector(psi, 1)
-    assert abs(only_one[space.index(space.parse("101"))]) > 0
-    assert only_one[space.index(space.parse("100"))] == 0.0

@@ -15,17 +15,25 @@ the search by another route hides ``dynamics.jump_search``. A traced run
 with an absent metric cannot be compared with its parent, so both calling
 conventions are checked here, on a small two-site problem shaped like the
 oracle's (both Raman lasers on, so every propagator is dense).
+
+The ``pulses.exchange`` and ``pulses.flip`` metrics count calls of
+``AnalyticEngine.apply_exchange_pulse`` and ``apply_flip_pulse``. The ideal
+backend's pulse-block plans hold each drive's map, so every planned pulse
+must still go through those methods, with its planned map; a block that
+rotated the state by another route would read 0 there.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavtel import dynamics, experiment
+from cavtel import dynamics, experiment, protocol
 from cavtel.params import PhysicalParams
+from cavtel.pulses import AnalyticEngine
 from cavtel.spaces import Register, SiteShape, normalized
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -88,3 +96,35 @@ def test_dense_jumps_call_the_search_through_the_module(monkeypatch):
     experiment.mcwf_density_average(h, channels, psi0, [2.0 * lifetime], n_traj=20, seed=77)
     jumps = sum(len(run.clicks) for run in walks)
     assert jumps > 0 and len(searches) == jumps
+
+
+
+def _recording(monkeypatch, cls, name):
+    """Replace method ``cls.name`` by a wrapper that records each call's named arguments."""
+    calls = []
+    original = getattr(cls, name)
+    signature = inspect.signature(original)
+
+    def recorded(self, *args, **kwargs):
+        calls.append(signature.bind(self, *args, **kwargs).arguments)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+def test_ideal_pulses_reach_the_engine_with_their_planned_maps(monkeypatch):
+    blocks = _recording(monkeypatch, protocol.IdealBackend, "pulse_block")
+    exchanges = _recording(monkeypatch, AnalyticEngine, "apply_exchange_pulse")
+    flips = _recording(monkeypatch, AnalyticEngine, "apply_flip_pulse")
+    exchange_maps = _counting(monkeypatch, AnalyticEngine, "exchange_map")
+    flip_maps = _counting(monkeypatch, AnalyticEngine, "flip_map")
+    experiment.run_ensemble(experiment.EnsembleConfig(backend="ideal", trajectories=20, seed=7))
+    drive_sets = [tuple(call["drives"]) for call in blocks]
+    kinds = [kind for drives in drive_sets for _, _, kind in drives]
+    assert len(flips) == kinds.count("flip") > 0
+    assert len(exchanges) == len(kinds) - kinds.count("flip") > 0
+    built = {id(m) for m in exchange_maps + flip_maps}
+    assert all(id(call.get("pulse_map")) in built for call in exchanges + flips)
+    # Each distinct drive set's plan builds one map per drive, at most.
+    assert len(exchange_maps) + len(flip_maps) <= sum(map(len, set(drive_sets)))
