@@ -17,14 +17,14 @@ from the decay rates on H's diagonal, and the probe at the jump time is the
 state the jump acts on. The channel is drawn by Born weights, and the state
 renormalized.
 
-H is made dense once. A diagonal H keeps closed-form survival times.
-Otherwise the states split into connected blocks that H never couples to
-each other; each block is eigendecomposed on its own, and the blocks are
-laid out as one dense V diag(exp(-i lam t)) W factor in basis order. Only a
-defective block falls back, with a warning, to a matrix exponential of H.
-Every propagator memoises its operator per duration (at most
-``STEP_MEMO_SIZE`` of them), and ``evolve`` always applies that operator,
-so its result does not depend on what the memo holds.
+H is made dense once, and every propagator is an ``EigPropagator``: one
+``evolve`` that memoises its operator per duration (at most
+``STEP_MEMO_SIZE`` of them) and always applies it, so its result does not
+depend on what the memo holds. A diagonal H gives the one-axis
+``DiagonalPropagator``, which keeps closed-form survival times. Otherwise
+each block of states that H never couples to another is eigendecomposed on
+its own, into one dense V diag(exp(-i lam t)) W factor in basis order. Only
+a defective block falls back, with a warning, to the ``ExpmPropagator`` of H.
 
 Neither tier's no-jump Hamiltonian couples two cavity sites: only the
 detector jump operators a0 +- a1 mix them. So every protocol propagator
@@ -244,77 +244,14 @@ def _memo(steps, t, build):
 
 def _on_axis(op, x, pre, size, post):
     """``op`` on the middle axis of x viewed as (pre, size, post): a vector elementwise, a matrix by product."""
+    if pre == post == 1:  # a single axis: the plain product is the fastest form
+        x = x.reshape(size)
+        return x * op if op.ndim == 1 else op @ x
     if op.ndim == 1:
         return x.reshape(pre, size, post) * op[:, None]
     if post > 1:
         return op @ x.reshape(pre, size, post)
-    if pre > 1:
-        return x.reshape(pre, size) @ op.T
-    return op @ x.reshape(size)  # a single axis: a plain matvec is the fastest form
-
-
-class DiagonalPropagator:
-    """exp(-iHt) for diagonal H, with analytic no-jump survival times.
-
-    The factor exp((i phi - gamma) t) is memoised per duration. Most
-    durations come once (the remainders after a jump), so each factor is
-    built from the distinct exponents only (163 of 800 on the ``effective``
-    lasers-off register) and spread by index: byte-equal to the direct
-    ``np.exp``. That table is made at the first factor, so a propagator
-    that only lends its ``diag`` to an ``EigPropagator`` never makes it.
-    """
-
-    def __init__(self, diag):
-        self.diag = np.asarray(diag, dtype=np.complex128)
-        self.phase_rate = -np.real(self.diag)
-        self.decay_rate = -np.imag(self.diag)
-        if np.any(self.decay_rate < -1e-12):
-            raise ValueError("diagonal growth would break norm monotonicity")
-        # Survival searches sum the squared amplitudes per distinct decay rate.
-        self._rates, self._rate_group = np.unique(2.0 * self.decay_rate, return_inverse=True)
-        self._exponents = None  # (distinct i phi - gamma, index), made at the first factor
-        self._steps = {}
-
-    def _factor(self, t):
-        if self._exponents is None:
-            self._exponents = np.unique(1j * self.phase_rate - self.decay_rate, return_inverse=True)
-        rates, index = self._exponents
-        return np.exp(rates * t).take(index)
-
-    def evolve(self, psi, t):
-        return psi * _memo(self._steps, t, self._factor)
-
-    def survival_time(self, psi, threshold, t_max):
-        """First time the squared norm reaches threshold, or -1 if it never does."""
-        weights = np.bincount(self._rate_group, weights=np.abs(psi) ** 2, minlength=len(self._rates))
-        return survival_solve(weights, self._rates, threshold, t_max)
-
-
-class ExpmPropagator:
-    """Fallback exp(-iHt) by direct matrix exponential, memoized per duration.
-
-    The matrix is applied with ``@``, so it also evolves the middle axis of
-    a (pre, size, post) array. An ``EigPropagator`` takes it as the factor
-    of a site whose eigendecomposition failed its check; that axis's
-    matrices then live in the ``EigPropagator``'s step memo. ``decay`` is
-    -Im diag(H), the jump search's decay rate per basis state.
-    """
-
-    def __init__(self, h_dense):
-        self.h = h_dense
-        self.decay = -np.imag(np.diag(h_dense))
-        self._steps = {}
-
-    def matrix(self, t):
-        """exp(-iHt), computed afresh."""
-        return scipy.linalg.expm(-1j * self.h * t)
-
-    def evolve(self, psi, t):
-        return _memo(self._steps, t, self.matrix) @ psi
-
-    def state_curve(self, psi):
-        """t -> ``evolve(psi, t)``, memoising nothing."""
-        return lambda t: self.matrix(t) @ psi
+    return x.reshape(pre, size) @ op.T
 
 
 class EigPropagator:
@@ -323,21 +260,21 @@ class EigPropagator:
     The state is viewed as a tensor over the axis dimensions ``dims``. Each
     factor is ``(lam, vmat, wmat)`` in its axis's basis order, with
     exp(-iH_k t) = V diag(exp(-i lam t)) W as dense matrices; a diagonal
-    axis has no V or W. An ``ExpmPropagator`` may stand in for an axis's
-    factor. ``make_propagator`` gives one axis, ``PropagatorCache`` one per
-    site.
+    axis has no V or W, and an ``ExpmPropagator`` may stand in for a factor.
+    ``make_propagator`` gives one axis (its one-axis subclasses hold a
+    diagonal or a matrix exponential), ``PropagatorCache`` one per site.
 
     The protocol reruns a fixed pulse schedule, so a few durations recur
-    all the time. ``evolve`` memoises one operator per axis and duration:
-    the folded matrix (V * exp(-i lam t)) @ W, a phase vector for a
-    diagonal axis, or the fallback's own matrix exponential. Every call,
-    the first at a duration included, applies those operators, so the
-    result does not depend on what the memo holds. ``state_curve`` probes
-    the no-jump state for the jump search: it moves the state into each
-    axis's eigenbasis once, then each probe applies only the phases and V,
-    and memoises nothing. ``decay`` is -Im diag(H) over the register, each
-    axis's diagonal of V diag(lam) W summed over the axes; the search takes
-    the slope of the norm from it.
+    all the time. ``evolve`` memoises one operator per axis and duration,
+    and every call applies them: (V * exp(-i lam t)) @ W, the fallback's
+    matrix exponential, or a diagonal axis's phases. Those come from its
+    distinct exponents only (163 of 800 on the ``effective`` lasers-off
+    register, where most durations come once), spread by index: byte-equal
+    to the direct ``np.exp``. ``state_curve`` probes the no-jump state for
+    the jump search: it moves the state into each axis's eigenbasis once,
+    then each probe applies only the phases and V, and memoises nothing.
+    ``decay`` is -Im diag(H) over the register, each axis's diagonal of
+    V diag(lam) W summed over the axes; the search takes its slope from it.
     """
 
     def __init__(self, dims, factors):
@@ -349,18 +286,22 @@ class EigPropagator:
             else -np.imag(factor[0]) if factor[1] is None
             else -np.imag(np.einsum("ij,j,ji->i", factor[1], factor[0], factor[2]))
             for factor in self.factors])
+        self._operators = [self._operator(factor) for factor in self.factors]
         self._steps = {}
 
+    @staticmethod
+    def _operator(factor):
+        """t -> exp(-iH_k t) for one axis's factor."""
+        if isinstance(factor, ExpmPropagator):
+            return factor.matrix
+        lam, vmat, wmat = factor
+        if vmat is None:
+            exponents, index = np.unique(-1j * lam, return_inverse=True)
+            return lambda t: np.exp(exponents * t).take(index)
+        return lambda t: (vmat * np.exp(-1j * lam * t)) @ wmat
+
     def _fold(self, t):
-        ops = []
-        for factor in self.factors:
-            if isinstance(factor, ExpmPropagator):
-                ops.append(factor.matrix(t))
-                continue
-            lam, vmat, wmat = factor
-            phase = np.exp(-1j * lam * t)
-            ops.append(phase if vmat is None else (vmat * phase) @ wmat)
-        return ops
+        return [operator(t) for operator in self._operators]
 
     def evolve(self, psi, t):
         x = psi
@@ -388,6 +329,48 @@ class EigPropagator:
             return x.reshape(-1)
 
         return state_at
+
+
+class DiagonalPropagator(EigPropagator):
+    """exp(-iHt) for diagonal H, one axis, with closed-form no-jump survival times
+    (``survival_time`` sums the squared amplitudes per distinct decay rate)."""
+
+    # Its own attribute, not inherited: perfbench/tracing.py wraps each
+    # class's ``evolve`` by name, EigPropagator's first, and an inherited one
+    # would run inside both wrappers and count as a dense evolve too.
+    evolve = EigPropagator.evolve
+
+    def __init__(self, diag):
+        self.diag = np.asarray(diag, dtype=np.complex128)
+        super().__init__([self.diag.size], [(self.diag, None, None)])
+        if np.any(self.decay < -1e-12):
+            raise ValueError("diagonal growth would break norm monotonicity")
+        self._rates, self._rate_group = np.unique(2.0 * self.decay, return_inverse=True)
+
+    def survival_time(self, psi, threshold, t_max):
+        """First time the squared norm reaches threshold, or -1 if it never does."""
+        weights = np.bincount(self._rate_group, weights=np.abs(psi) ** 2, minlength=len(self._rates))
+        return survival_solve(weights, self._rates, threshold, t_max)
+
+
+class ExpmPropagator(EigPropagator):
+    """Fallback exp(-iHt) by direct matrix exponential: one axis whose factor is itself.
+
+    An ``EigPropagator`` also takes it as the factor of a site whose
+    eigendecomposition failed its check; that axis's matrices then live in
+    that propagator's step memo. ``decay`` is -Im diag(H).
+    """
+
+    evolve = EigPropagator.evolve  # its own attribute, as DiagonalPropagator's
+
+    def __init__(self, h_dense):
+        self.h = h_dense
+        self.decay = -np.imag(np.diag(h_dense))  # this factor's decay, read by the base class
+        super().__init__([len(h_dense)], [self])
+
+    def matrix(self, t):
+        """exp(-iHt), computed afresh."""
+        return scipy.linalg.expm(-1j * self.h * t)
 
 
 def make_propagator(h: SparseOp):
@@ -442,10 +425,10 @@ class PropagatorCache:
     builds each site from its own Hamiltonian on a one-site register. If
     every site is diagonal, their diagonals summed over the register grid
     make one ``DiagonalPropagator`` with closed-form survival times; else an
-    ``EigPropagator`` takes one factor per site. A site that fails its
-    eigendecomposition check has ``make_propagator``'s ``RuntimeWarning``
-    re-emitted prefixed with its number, and the ``ExpmPropagator`` of its
-    own Hamiltonian that comes back becomes its factor.
+    ``EigPropagator`` takes each site's one factor: dense, diagonal, or the
+    ``ExpmPropagator`` of a site that fails its eigendecomposition check,
+    whose ``make_propagator`` ``RuntimeWarning`` is re-emitted prefixed
+    with the site's number.
     """
 
     def __init__(self, space: Register, params: PhysicalParams, tier="effective"):
@@ -492,11 +475,7 @@ class PropagatorCache:
         diags = [prop.diag for prop in props if isinstance(prop, DiagonalPropagator)]
         if len(diags) == len(props):  # site 0's digits are the most significant: outermost
             return DiagonalPropagator(functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), diags))
-        return EigPropagator([h.dim for h in site_hs], [
-            prop.factors[0] if isinstance(prop, EigPropagator)
-            else (prop.diag, None, None) if isinstance(prop, DiagonalPropagator)
-            else prop  # an ExpmPropagator fallback is a factor as it is
-            for prop in props])
+        return EigPropagator([h.dim for h in site_hs], [prop.factors[0] for prop in props])
 
 
 # -- trajectory stepping ----------------------------------------------------------

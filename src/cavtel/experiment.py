@@ -97,6 +97,12 @@ class EnsembleConfig:
         def number(value, kind):  # bool is an Integral, but not a count or a time
             return isinstance(value, kind) and not isinstance(value, bool)
 
+        def finite(value):
+            try:
+                return cmath.isfinite(value)
+            except OverflowError:  # an int past the float range
+                return False
+
         if not (isinstance(self.backend, str) and self.backend in BACKENDS):
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}")
         if not (isinstance(self.profile, str) and (self.params is not None or self.profile in PROFILES)):
@@ -112,7 +118,7 @@ class EnsembleConfig:
         amps = self.amp_in
         if amps is not None and not (
             isinstance(amps, (tuple, list)) and len(amps) == 2
-            and all(isinstance(v, Number) and cmath.isfinite(v) for v in amps) and any(amps)
+            and all(isinstance(v, Number) and finite(v) for v in amps) and any(amps)
         ):
             raise ValueError("input amplitudes (amp_in) must be two finite numbers, not both zero")
 
@@ -213,13 +219,21 @@ def compute_stats(summaries, max_repetitions) -> dict:
 # -- density-matrix references ----------------------------------------------------
 
 
+def _require_channel_sizes(h: SparseOp, channels):
+    """``ValueError`` naming both sizes unless every channel acts on H's states."""
+    for ch in channels:
+        if ch.op.dim != h.dim:
+            raise ValueError(f"channel {ch.name} acts on {ch.op.dim} states, but H on {h.dim}")
+
+
 def master_equation_reference(h: SparseOp, channels, rho0, t_points):
     """Integrate the unconditional evolution matching the jump unraveling.
 
     d(rho)/dt = -i (H rho - rho H^dag) + sum_c C rho C^dag, with H carrying
     the anti-Hermitian decay half. Returns one density matrix per requested
-    time.
+    time. Every channel must act on H's states.
     """
+    _require_channel_sizes(h, channels)
     dim = h.dim
     hd = h.to_dense()
     hdc = hd.conj().T
@@ -264,9 +278,10 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     ``S.T @ S.conj()`` to that checkpoint's sum, so memory does not grow
     with ``n_traj``. ``n_traj`` must be an integer >= 1, ``t_points`` a
     1-D, finite, non-negative, non-decreasing sequence (repeats are
-    allowed), and ``psi0`` a finite 1-D state of length ``h.dim`` whose
-    squared norm is 1 to within 1e-9.
+    allowed), ``psi0`` a finite 1-D state of length ``h.dim`` whose squared
+    norm is 1 to within 1e-9, and every channel must act on H's states.
     """
+    _require_channel_sizes(h, channels)
     if not (isinstance(n_traj, Integral) and n_traj >= 1):
         raise ValueError("n_traj must be an integer >= 1")
     times = np.asarray(t_points, dtype=float)

@@ -503,12 +503,30 @@ class _Run:
         return psi
 
 
-def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolRecord:
-    """Run one trajectory; returns the record with outcome and final state."""
-    scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+def _unit_amplitudes(a, b):
+    """(a, b) / sqrt(|a|^2 + |b|^2); ``ValueError`` unless both are finite and not both zero.
+
+    Only where that sum leaves the normal float range (moduli past about
+    1e154, or both under about 1e-154) are a and b first divided by their
+    largest real or imaginary part.
+    """
+    try:
+        scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    except OverflowError:
+        scale = math.inf
+    if not 2.0 ** -511 <= scale < math.inf:  # 2**-511 squared is the smallest normal float
+        big = max(abs(part) for v in (a, b) for part in (v.real, v.imag))
+        if 0.0 < big < math.inf:
+            a, b = a / big, b / big
+            scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     if not 0.0 < scale < math.inf:  # NaN fails both comparisons
         raise ValueError("input amplitudes must be two finite numbers, not both zero")
-    a, b = complex(a) / scale, complex(b) / scale
+    return complex(a) / scale, complex(b) / scale
+
+
+def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolRecord:
+    """Run one trajectory; returns the record with outcome and final state."""
+    a, b = _unit_amplitudes(a, b)
     rec = ProtocolRecord(amp_in=(a, b))
     run = _Run(backend, rng, rec, trace)
     rules = PhaseRules(backend.params, backend.times)

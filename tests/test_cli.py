@@ -215,6 +215,13 @@ def test_rates_that_give_an_infinite_pulse_duration_exit_one(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_input_amplitudes_whose_squares_overflow_run(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": "ideal", "trajectories": 2, "input": [1e200, 1e200]}))
+    assert _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "summary.json").exists()
+
+
 def test_summary_states_the_derived_rates(tmp_path):
     assert _run_main(["run", "--backend", "ideal", "--trajectories", "2", "--output-dir", str(tmp_path)]) == 0
     derived = json.loads((tmp_path / "summary.json").read_text())["derived_rad_per_us"]

@@ -96,6 +96,7 @@ def test_resolve_params_profiles_and_override():
         ({"amp_in": ("a", 1)}, "amp_in"),
         ({"amp_in": (math.nan, 1.0)}, "amp_in"),
         ({"amp_in": (1.0, 0.0, 0.0)}, "amp_in"),
+        ({"amp_in": (10**400, 1)}, "amp_in"),  # an int past the float range
     ],
 )
 def test_ensemble_config_rejects_bad_settings(settings, key):
@@ -359,6 +360,25 @@ def test_mcwf_average_rejects_bad_psi0(decay_system, make_psi0):
     psi0 = make_psi0(_bell_pair(space))
     with pytest.raises(ValueError, match="psi0"):
         mcwf_density_average(h, channels, psi0, [1.0], n_traj=4, seed=1)
+
+
+def _wider_channels(params):
+    """Detector channels on a one-site register with room for two photons: 6 states."""
+    return detector_channels(Register([SiteShape(1, 2, 2)]), params)
+
+
+def test_mcwf_average_rejects_channels_of_another_size(decay_system):
+    # So short a walk never jumps: without the check it returns silently.
+    space, params, h, _ = decay_system
+    with pytest.raises(ValueError, match=rf"channel detector_plus acts on 6 states, but H on {h.dim}"):
+        mcwf_density_average(h, _wider_channels(params), _bell_pair(space), [1e-9], n_traj=2, seed=1)
+
+
+def test_master_equation_rejects_channels_of_another_size(decay_system):
+    space, params, h, _ = decay_system
+    psi0 = _bell_pair(space)
+    with pytest.raises(ValueError, match=rf"channel detector_plus acts on 6 states, but H on {h.dim}"):
+        master_equation_reference(h, _wider_channels(params), np.outer(psi0, psi0.conj()), [1.0])
 
 
 def test_trace_distance_reference_values():

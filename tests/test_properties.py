@@ -180,7 +180,7 @@ def test_diagonal_survival_time_matches_ungrouped_solve(amps, u, t_max):
     assume(np.vdot(psi, psi).real > 1e-6)
     psi = normalized(psi)
     prop = DiagonalPropagator(diag)
-    weights, rates = np.abs(psi) ** 2, 2.0 * prop.decay_rate
+    weights, rates = np.abs(psi) ** 2, 2.0 * prop.decay
     assume(abs(_survival(weights, rates, t_max) - u) > 1e-12)
     t = prop.survival_time(psi, u, t_max)
     t_flat = survival_solve(weights, rates, u, t_max)

@@ -64,6 +64,16 @@ def test_run_protocol_rejects_bad_input_amplitudes(ideal, a, b):
         run_protocol(ideal, a, b, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_run_protocol_takes_amplitudes_whose_squares_leave_the_float_range(ideal, scale):
+    # Rescaled first, (x, x) is (1, 1)/sqrt(2) to the bit, so the run is (1, 1)'s.
+    want = run_protocol(ideal, 1.0, 1.0, np.random.default_rng(5))
+    rec = run_protocol(ideal, scale, scale, np.random.default_rng(5))
+    assert rec.amp_in == want.amp_in
+    assert (rec.outcome, rec.repetitions) == (want.outcome, want.repetitions)
+    assert rec.final_state.tobytes() == want.final_state.tobytes()
+
+
 def test_make_backend_dispatch():
     p = desk_params()
     assert isinstance(make_backend("ideal", p), IdealBackend)

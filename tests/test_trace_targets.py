@@ -40,14 +40,28 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def test_every_trace_target_resolves():
+def _tracing():
     if not TRACING.exists():
         pytest.skip("perfbench/tracing.py is not in this checkout")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    with tracing.Tracer().installed() as tracer:
+    return tracing
+
+
+def test_every_trace_target_resolves():
+    with _tracing().Tracer().installed() as tracer:
         assert tracer.absent == []
+
+
+def test_every_traced_method_is_its_own_class_attribute():
+    # The tracer wraps each ``Class.method`` on its class, in list order. A
+    # method the class only inherits is looked up through the wrapper already
+    # on its base, so each call would also count under the base's name.
+    methods = [(module_name, path.split(".")) for _, module_name, path in _tracing().TARGETS if "." in path]
+    assert methods
+    for module_name, (cls_name, method) in methods:
+        assert method in vars(getattr(importlib.import_module(module_name), cls_name)), f"{cls_name}.{method}"
 
 
 def test_every_benchmark_entry_point_resolves(monkeypatch):
