@@ -508,8 +508,14 @@ def _unit_amplitudes(a, b):
 
     Only where that sum leaves the normal float range (moduli past about
     1e154, or both under about 1e-154) are a and b first divided by their
-    largest real or imaginary part.
+    largest real or imaginary part. Both are made Python complex first, so
+    NumPy scalars overflow as Python floats do rather than warn.
     """
+    bad = ValueError("input amplitudes must be two finite numbers, not both zero")
+    try:
+        a, b = complex(a), complex(b)
+    except OverflowError:  # an int past the float range
+        raise bad from None
     try:
         scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     except OverflowError:
@@ -520,8 +526,8 @@ def _unit_amplitudes(a, b):
             a, b = a / big, b / big
             scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     if not 0.0 < scale < math.inf:  # NaN fails both comparisons
-        raise ValueError("input amplitudes must be two finite numbers, not both zero")
-    return complex(a) / scale, complex(b) / scale
+        raise bad
+    return a / scale, b / scale
 
 
 def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolRecord:

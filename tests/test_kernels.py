@@ -144,7 +144,7 @@ def test_eig_propagate_matches_expm():
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rows, cols = np.indices((n, n))
     prop = make_propagator(SparseOp(n, rows.ravel(), cols.ravel(), h.ravel()))
-    assert isinstance(prop, EigPropagator)
+    assert type(prop) is EigPropagator
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     t = 0.9
     got = prop.evolve(psi, t)

@@ -58,15 +58,34 @@ def test_protocol_space_dimensions():
     assert protocol_space(levels=2, cutoff=4).dim == 800
 
 
-@pytest.mark.parametrize("a,b", [(0, 0), (0.0, 0j), (math.nan, 1), (math.inf, 1), (1, complex(0, math.nan))])
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (0, 0),
+        (0.0, 0j),
+        (math.nan, 1),
+        (math.inf, 1),
+        (1, complex(0, math.nan)),
+        pytest.param(10**400, 1, id="10**400-1"),
+    ],
+)
 def test_run_protocol_rejects_bad_input_amplitudes(ideal, a, b):
     with pytest.raises(ValueError, match="two finite numbers, not both zero"):
         run_protocol(ideal, a, b, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize(
+    "scale",
+    [
+        1e200,
+        1e-200,
+        pytest.param(np.float64(1e200), id="np.float64(1e+200)"),
+        pytest.param(np.complex128(1e-200), id="np.complex128(1e-200)"),
+    ],
+)
 def test_run_protocol_takes_amplitudes_whose_squares_leave_the_float_range(ideal, scale):
     # Rescaled first, (x, x) is (1, 1)/sqrt(2) to the bit, so the run is (1, 1)'s.
+    # NumPy scalars must not warn on the way (warnings fail the suite).
     want = run_protocol(ideal, 1.0, 1.0, np.random.default_rng(5))
     rec = run_protocol(ideal, scale, scale, np.random.default_rng(5))
     assert rec.amp_in == want.amp_in

@@ -95,7 +95,7 @@ def _counting(monkeypatch, module, name):
 
 def test_oracle_walks_once_per_trajectory_and_advancing_checkpoint(monkeypatch):
     h, channels, psi0, lifetime = _oracle_like()
-    assert isinstance(dynamics.make_propagator(h), dynamics.EigPropagator)
+    assert type(dynamics.make_propagator(h)) is dynamics.EigPropagator
     walks = _counting(monkeypatch, experiment, "evolve_with_jumps")
     # Four checkpoints, two of which advance time (0 and a repeat do not).
     t_points = np.array([0.0, 0.5, 0.5, 1.5]) * lifetime
