@@ -9,7 +9,9 @@ change that moves either engine's bits fails here first.
 
 Outcome, repetitions and elapsed time (as ``float.hex``) are exact;
 fidelity is held to 1e-14 for the ideal engine and 1e-12 for the numeric
-tiers. To re-record after a change that is meant to move the bits, run
+tiers. Each numeric row also lists its record's clicks as ``[time.hex(),
+sign]`` on the run clock, compared exactly; the ideal engine's click times
+are pinned by the trace sha256. To re-record after a change that is meant to move the bits, run
 ``PYTHONPATH=src python tests/test_ideal_golden.py`` from the root of a
 checkout and commit the rewritten fixtures with the reason. The script
 prints every row that moved against the fixture it replaces, and whether
@@ -40,11 +42,16 @@ NUMERIC_CONFIGS = {
 NUMERIC_TOLERANCE = 1e-12
 
 
-def _rows(config=ROWS_CONFIG):
-    return [
+def _rows(config=ROWS_CONFIG, clicks=False):
+    """One row per trajectory; with ``clicks``, the record's clicks appended."""
+    result = run_ensemble(config, keep_records=clicks)
+    rows = [
         [s.outcome, s.repetitions, s.elapsed.hex(), None if math.isnan(s.fidelity) else s.fidelity]
-        for s in run_ensemble(config).summaries
+        for s in result.summaries
     ]
+    for row, record in zip(rows, result.records):
+        row.append([[c.time.hex(), c.sign] for c in record.clicks])
+    return rows
 
 
 def _trace_sha256(outdir):
@@ -55,8 +62,8 @@ def _trace_sha256(outdir):
 
 
 def _same_row(got, want, tolerance=IDEAL_TOLERANCE):
-    """Outcome, repetitions and elapsed exact; fidelity within ``tolerance``."""
-    if got[:3] != want[:3] or (got[3] is None) != (want[3] is None):
+    """Outcome, repetitions, elapsed and clicks exact; fidelity within ``tolerance``."""
+    if got[:3] != want[:3] or got[4:] != want[4:] or (got[3] is None) != (want[3] is None):
         return False
     return want[3] is None or abs(got[3] - want[3]) <= tolerance
 
@@ -78,7 +85,7 @@ def test_ideal_trace_matches_the_golden_record(tmp_path, capsys):
 @pytest.mark.parametrize("name", NUMERIC_CONFIGS)
 def test_numeric_summary_rows_match_the_golden_record(name):
     golden = json.loads(NUMERIC_FIXTURE.read_text())[name]
-    _assert_rows(_rows(NUMERIC_CONFIGS[name]), golden, NUMERIC_TOLERANCE)
+    _assert_rows(_rows(NUMERIC_CONFIGS[name], clicks=True), golden, NUMERIC_TOLERANCE)
 
 
 def _report(label, rows, old_rows, tolerance):
@@ -118,7 +125,7 @@ if __name__ == "__main__":
     old = json.loads(NUMERIC_FIXTURE.read_text()) if NUMERIC_FIXTURE.exists() else {}
     blocks = []
     for name, config in NUMERIC_CONFIGS.items():
-        rows = _rows(config)
+        rows = _rows(config, clicks=True)
         _report(name, rows, old.get(name, []), NUMERIC_TOLERANCE)
         blocks.append(f'"{name}": [\n  {_body(rows)}\n ]')
     NUMERIC_FIXTURE.write_text("{" + ",\n ".join(blocks) + "}\n")
