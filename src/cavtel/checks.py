@@ -118,9 +118,9 @@ def pulse_agreement_report(params: PhysicalParams, times: PulseTimes | None = No
             atom, kind = drive
             lasers = ((0, atom, *PULSE_LASERS[kind]),)
             if kind == "flip":
-                analytic = engine.apply_flip_pulse(psi0, 0, atom, duration)
+                analytic = engine.apply_flip_pulse(psi0, engine.flip_map(0, atom, duration))
             else:
-                analytic = engine.apply_exchange_pulse(psi0, 0, atom, duration)
+                analytic = engine.apply_exchange_pulse(psi0, engine.exchange_map(0, atom, duration))
         numeric = cache.get(lasers).evolve(psi0, duration)
         mod_err, phase_err = compare_states(numeric, analytic)
         rows.append(AgreementRow(label, mod_err, phase_err))

@@ -487,16 +487,16 @@ class Segment:
 
     duration: float
     propagator: object
-    label: str = ""
 
 
 @dataclass
 class Click:
+    """One jump; ``time`` counts from the start of the call that found it."""
+
     time: float
     channel: str
     kind: str
     sign: int
-    label: str = ""
 
 
 @dataclass
@@ -567,7 +567,6 @@ def evolve_with_jumps(
     segments,
     channels,
     rng,
-    t0=0.0,
     stop_after_first_detector=False,
     stop_on_emission=True,
 ) -> JumpRun:
@@ -575,7 +574,7 @@ def evolve_with_jumps(
 
     ``psi`` must enter normalized. The returned state is unnormalized; its
     squared norm is the no-jump probability since the last jump. Click times
-    are absolute (offset by ``t0``). With ``stop_after_first_detector`` the
+    count from the walk's start. With ``stop_after_first_detector`` the
     walk returns right after the first detector click; emission clicks stop
     the walk by default so callers can abort. The walk never writes into
     ``psi``, and one that advances no time returns it as is, so a caller
@@ -617,7 +616,7 @@ def evolve_with_jumps(
             chan = channels[pick]
             psi = branches[pick] / math.sqrt(weights[pick])
             n2 = norm2(psi)
-            clicks.append(Click(t0 + elapsed, chan.name, chan.kind, chan.sign, seg.label))
+            clicks.append(Click(elapsed, chan.name, chan.kind, chan.sign))
             threshold = rng.random()
             if (stop_after_first_detector and chan.kind == "detector") or (
                 stop_on_emission and chan.kind == "emission"

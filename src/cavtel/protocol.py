@@ -17,9 +17,11 @@ phases:
 5. recovery: swap pulses and a timed phase wait on the receiver undo the
    heralded phase, leaving the input qubit on the receiver atoms.
 
-Every backend exposes the same four primitives (initial state, pulse
-block, detection window, phase wait), so the driver is identical for the
-closed-form engine and the Monte Carlo tiers. The closed-form engine runs
+Every backend exposes the same five primitives (initial state, pulse
+block, detection window, phase wait, truncation exposure), so the driver
+is identical for the closed-form engine and the Monte Carlo tiers. The
+primitives count click times from the start of each call; the driver owns
+the run clock and puts every click on it. The closed-form engine runs
 on a register with at most 2 photons per site (288 states), since no
 branch of the driver puts a third photon in a cavity; the exhaustive
 branch walk ``test_every_driver_branch_fits_the_ideal_register`` in
@@ -234,9 +236,9 @@ class IdealBackend(_Backend):
     A run repeats fewer than 30 drive sets, so each one's pulse block is
     planned on first use and kept: its span, the idle factors of the sites
     it leaves undriven, and per drive the idle factor before its pulse (or
-    ``None``), its kind, site, atom, duration, intent and pulse map: the
-    only cache of pulse maps. ``pulse_block`` passes each map to the
-    engine's ``apply_*_pulse``. No plan is built in ``__init__``.
+    ``None``), whether it is a flip, and its pulse map: the only cache of
+    pulse maps. ``pulse_block`` passes each map to the engine's
+    ``apply_*_pulse``. No plan is built in ``__init__``.
     """
 
     name = "ideal"
@@ -267,12 +269,13 @@ class IdealBackend(_Backend):
         for site, atom, kind in drives:
             dur = times.duration(kind)
             pre = engine.wait_factor(span - dur, sites=[site]) if dur < span else None
-            intent = FLIP_INTENT_ANGLE if kind == "flip" else PULSE_INTENT[kind]
-            build = engine.flip_map if kind == "flip" else engine.exchange_map
-            steps.append((pre, kind, site, atom, dur, intent, build(site, atom, dur, intent)))
+            if kind == "flip":
+                steps.append((pre, True, engine.flip_map(site, atom, dur, FLIP_INTENT_ANGLE)))
+            else:
+                steps.append((pre, False, engine.exchange_map(site, atom, dur, PULSE_INTENT[kind])))
         return span, idle, steps
 
-    def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
+    def pulse_block(self, psi, drives, rng):
         key = tuple(drives)
         plan = self._plans.get(key)
         if plan is None:
@@ -281,16 +284,16 @@ class IdealBackend(_Backend):
         engine = self.engine
         for factor in idle:
             psi = psi * factor
-        for pre, kind, site, atom, dur, intent, pulse_map in steps:
+        for pre, flip, pulse_map in steps:
             if pre is not None:
                 psi = psi * pre
-            if kind == "flip":
-                psi = engine.apply_flip_pulse(psi, site, atom, dur, intent, pulse_map)
+            if flip:
+                psi = engine.apply_flip_pulse(psi, pulse_map)
             else:
-                psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent, pulse_map)
+                psi = engine.apply_exchange_pulse(psi, pulse_map)
         return psi, [], span
 
-    def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
+    def detect_window(self, psi, rng, stop_after_first=False):
         """Detection in the long-window limit: each photon is eventually
         seen, so click multiplicity measures the total photon number."""
         engine = self.engine
@@ -314,15 +317,13 @@ class IdealBackend(_Backend):
             # normalized(), bit for bit, from the weight already in hand.
             psi = plus / np.sqrt(w_plus) if take_plus else minus / np.sqrt(w_minus)
             elapsed += dt
-            clicks.append(
-                Click(t0 + elapsed, "detector_plus" if take_plus else "detector_minus",
-                      "detector", +1 if take_plus else -1, stage)
-            )
+            clicks.append(Click(elapsed, "detector_plus" if take_plus else "detector_minus",
+                                "detector", +1 if take_plus else -1))
             if stop_after_first:
                 return psi, clicks, elapsed
         return psi, clicks, self.times.detect
 
-    def phase_wait(self, psi, duration, rng, t0=0.0, stage=""):
+    def phase_wait(self, psi, duration, rng):
         return self.engine.apply_wait(psi, duration, photon_shift=False, decay=False), [], duration
 
     def truncation_exposure(self, psi, drives) -> float:
@@ -350,12 +351,12 @@ class NumericBackend(_Backend):
         if tier == "full":
             self.channels = self.channels + emission_channels(self.space, params)
         # A protocol run repeats a few drive sets, so their bookkeeping is
-        # built on first use and kept: segments per (drives, stage), the
-        # truncation mask per drives as an index array.
+        # built on first use and kept: segments and the truncation mask (as
+        # an index array) per drives.
         self._segment_lists = {}
         self._exposed = {}
 
-    def _segments(self, drives, stage):
+    def _segments(self, drives):
         """Split a block of end-aligned drives at each drive's start time."""
         span = max(self.times.duration(kind) for _, _, kind in drives)
         tol = 1e-9 * span
@@ -371,27 +372,25 @@ class NumericBackend(_Backend):
             for site, atom, kind in drives:
                 if span - self.times.duration(kind) <= lo + tol:
                     rows.append((site, atom, *PULSE_LASERS[kind]))
-            segments.append(Segment(hi - lo, self.cache.get(rows), stage))
+            segments.append(Segment(hi - lo, self.cache.get(rows)))
         return tuple(segments), span
 
-    def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
-        key = (tuple(drives), stage)
+    def pulse_block(self, psi, drives, rng):
+        key = tuple(drives)
         if key not in self._segment_lists:
-            self._segment_lists[key] = self._segments(drives, stage)
+            self._segment_lists[key] = self._segments(drives)
         segments, span = self._segment_lists[key]
-        run = evolve_with_jumps(psi, segments, self.channels, rng, t0=t0)
+        run = evolve_with_jumps(psi, segments, self.channels, rng)
         return run.normalized_state(), run.clicks, span
 
-    def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
-        seg = Segment(self.times.detect, self.cache.get(()), stage)
-        run = evolve_with_jumps(
-            psi, [seg], self.channels, rng, t0=t0, stop_after_first_detector=stop_after_first
-        )
+    def detect_window(self, psi, rng, stop_after_first=False):
+        seg = Segment(self.times.detect, self.cache.get(()))
+        run = evolve_with_jumps(psi, [seg], self.channels, rng, stop_after_first_detector=stop_after_first)
         return run.normalized_state(), run.clicks, run.elapsed
 
-    def phase_wait(self, psi, duration, rng, t0=0.0, stage=""):
-        seg = Segment(duration, self.cache.get(()), stage)
-        run = evolve_with_jumps(psi, [seg], self.channels, rng, t0=t0)
+    def phase_wait(self, psi, duration, rng):
+        seg = Segment(duration, self.cache.get(()))
+        run = evolve_with_jumps(psi, [seg], self.channels, rng)
         return run.normalized_state(), run.clicks, run.elapsed
 
     def truncation_exposure(self, psi, drives) -> float:
@@ -464,10 +463,16 @@ class _Run:
         if self.trace is not None:
             self.trace({"event": event, "t": self.clock, **fields})
 
-    def pulses(self, psi, drives, stage):
-        psi, clicks, span = self.backend.pulse_block(psi, drives, self.rng, t0=self.clock, stage=stage)
+    def advance(self, psi, clicks, span):
+        """A primitive's state and its clicks copied onto the run clock; the clock moves ``span`` on."""
+        if clicks:
+            clicks = [Click(self.clock + c.time, c.channel, c.kind, c.sign) for c in clicks]
+            self.rec.clicks.extend(clicks)
         self.clock += span
-        self.rec.clicks.extend(clicks)
+        return psi, clicks
+
+    def pulses(self, psi, drives, stage):
+        psi, clicks = self.advance(*self.backend.pulse_block(psi, drives, self.rng))
         if self.trace is not None:
             self.emit("pulses", stage=stage, drives=[list(d) for d in drives])
         leak = self.backend.truncation_exposure(psi, drives)
@@ -479,11 +484,7 @@ class _Run:
         return psi
 
     def window(self, psi, stage, stop_after_first=False):
-        psi, clicks, elapsed = self.backend.detect_window(
-            psi, self.rng, t0=self.clock, stage=stage, stop_after_first=stop_after_first
-        )
-        self.clock += elapsed
-        self.rec.clicks.extend(clicks)
+        psi, clicks = self.advance(*self.backend.detect_window(psi, self.rng, stop_after_first=stop_after_first))
         detector = []
         if clicks:
             detector, emission = _split_clicks(clicks)
@@ -491,12 +492,10 @@ class _Run:
                 raise _Abort(ABORT_SPONTANEOUS, f"spontaneous emission during {stage}")
         if self.trace is not None:
             self.emit("window", stage=stage, clicks=[[c.time, c.sign] for c in detector])
-        return psi, detector, elapsed
+        return psi, detector
 
     def wait(self, psi, duration, stage):
-        psi, clicks, elapsed = self.backend.phase_wait(psi, duration, self.rng, t0=self.clock, stage=stage)
-        self.clock += elapsed
-        self.rec.clicks.extend(clicks)
+        psi, clicks = self.advance(*self.backend.phase_wait(psi, duration, self.rng))
         if clicks:
             _require_quiet(clicks, stage)
         self.emit("wait", stage=stage, duration=duration)
@@ -538,7 +537,7 @@ def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolR
     rules = PhaseRules(backend.params, backend.times)
     psi = backend.initial_state(a, b)
     try:
-        psi = _main_rounds(run, psi, rules, max_repetitions)
+        psi = _main_rounds(run, psi, max_repetitions)
         if rec.outcome is None:
             psi = _confirm_and_recover(run, psi, rules)
     except _Abort as sig:
@@ -549,12 +548,12 @@ def run_protocol(backend, a, b, rng, max_repetitions=6, trace=None) -> ProtocolR
     return rec
 
 
-def _main_rounds(run: _Run, psi, rules: PhaseRules, max_repetitions):
+def _main_rounds(run: _Run, psi, max_repetitions):
     rec, backend = run.rec, run.backend
     for attempt in range(max_repetitions + 1):
         psi = _entangle(run, psi)
         psi = _encode(run, psi)
-        psi, detector, _ = run.window(psi, STAGE_DETECT_MAIN)
+        psi, detector = run.window(psi, STAGE_DETECT_MAIN)
         if len(detector) == 1:
             rec.repetitions = attempt
             rec.main_sign = detector[0].sign
@@ -593,7 +592,7 @@ def _entangle(run: _Run, psi):
     swaps = [(0, run.roles[2], "swap"), (1, 0, "swap")]
     for retry in range(PREP_RETRY_LIMIT):
         psi = run.pulses(psi, swaps, STAGE_PREP)
-        psi, detector, _ = run.window(psi, STAGE_PREP, stop_after_first=True)
+        psi, detector = run.window(psi, STAGE_PREP, stop_after_first=True)
         if detector:
             run.rec.prep_sign = detector[0].sign
             return run.pulses(psi, swaps, STAGE_PREP)
@@ -616,7 +615,7 @@ def _encode(run: _Run, psi):
 def _confirm_and_recover(run: _Run, psi, rules: PhaseRules):
     rec = run.rec
     psi = run.pulses(psi, [(0, run.roles[2], "swap")], STAGE_DETECT_CONFIRM)
-    psi, detector, _ = run.window(psi, STAGE_DETECT_CONFIRM)
+    psi, detector = run.window(psi, STAGE_DETECT_CONFIRM)
     if len(detector) > 1:
         raise _Abort(INVALID, "multiple clicks in the confirming window")
     if len(detector) == 1:

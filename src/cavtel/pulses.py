@@ -131,10 +131,11 @@ class PulseTruncationError(RuntimeError):
 class AnalyticEngine:
     """Closed-form state maps for two-level sites under the reduced model.
 
-    ``exchange_map`` and ``flip_map`` build one pulse's map; a caller that
-    repeats the pulse keeps it and passes it to ``apply_*_pulse``, which
-    otherwise builds it fresh. The engine keeps only the wait exponents per
-    site set, as their distinct values and an index back to the register.
+    ``exchange_map`` and ``flip_map`` build one pulse's map, and
+    ``apply_*_pulse`` applies a map it is given, so a caller that repeats a
+    pulse builds its map once and keeps it. The engine keeps only the wait
+    exponents per site set, as their distinct values and an index back to
+    the register.
     """
 
     def __init__(self, space: Register, params: PhysicalParams):
@@ -198,20 +199,17 @@ class AnalyticEngine:
             raise PulseTruncationError(error)
         return cos_fac * psi + isin_fac * psi[partner]
 
-    def apply_exchange_pulse(self, psi, site, atom, t, intent=None, pulse_map=None):
-        """One strong-laser pulse on one atom, exact up to in-block averaging.
-
-        ``intent`` optionally pins the rotation angle per excitation sector;
-        sectors it omits rotate by the literal sqrt(beta)*rabi_exchange*t.
-        A caller that repeats the pulse may pass ``pulse_map``, the
-        ``exchange_map`` of the same arguments, so it is not rebuilt.
-        """
-        if pulse_map is None:
-            pulse_map = self.exchange_map(site, atom, t, intent)
+    def apply_exchange_pulse(self, psi, pulse_map):
+        """Apply one exchange pulse, given as its ``exchange_map``."""
         return self._rotate(psi, pulse_map, "exchange pulse reached the photon cutoff")
 
     def exchange_map(self, site, atom, t, intent=None):
-        """(fac*cos, fac*i*sin, partner, cutoff rows) of one exchange pulse."""
+        """(fac*cos, fac*i*sin, partner, cutoff rows) of one exchange pulse.
+
+        One strong-laser pulse on one atom, exact up to in-block averaging.
+        ``intent`` optionally pins the rotation angle per excitation sector;
+        sectors it omits rotate by the literal sqrt(beta)*rabi_exchange*t.
+        """
         space, p = self.space, self.params
         x = space.atom_levels(site, atom)
         y = self._y[site]
@@ -235,19 +233,17 @@ class AnalyticEngine:
         fac = np.exp(1j * (p.detuning_offset * (n0x + 1) + 0.5 * p.shift_photon * shift_q) * t)
         return fac * np.cos(angles), fac * (1j * np.sin(angles)), partner, np.flatnonzero(beta < 0)
 
-    def apply_flip_pulse(self, psi, site, atom, t, intent_angle=None, pulse_map=None):
-        """One two-laser pulse swapping levels 1 and 0 of one atom.
-
-        Valid on photon-free states; photon-carrying components would leak
-        through the exchange coupling, which this map does not include.
-        ``pulse_map``, if given, is the ``flip_map`` of the same arguments.
-        """
-        if pulse_map is None:
-            pulse_map = self.flip_map(site, atom, t, intent_angle)
+    def apply_flip_pulse(self, psi, pulse_map):
+        """Apply one flip pulse, given as its ``flip_map``."""
         return self._rotate(psi, pulse_map, "flip pulse applied while photons remain")
 
     def flip_map(self, site, atom, t, intent_angle=None):
-        """(fac*cos, fac*i*sin, partner, photon rows) of one flip pulse."""
+        """(fac*cos, fac*i*sin, partner, photon rows) of one flip pulse.
+
+        One two-laser pulse swapping levels 1 and 0 of one atom. Valid on
+        photon-free states; photon-carrying components would leak through
+        the exchange coupling, which this map does not include.
+        """
         space = self.space
         x = space.atom_levels(site, atom)
         da = space.stride(site, atom)

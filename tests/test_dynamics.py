@@ -480,22 +480,6 @@ def test_emission_click_stops_walk(params):
     assert run.elapsed == run.clicks[0].time < horizon
 
 
-def test_click_times_offset_by_t0(params):
-    space, prop, channels = _photon_setup(params)
-    psi = space.ket("01")
-    base = evolve_with_jumps(
-        psi, [Segment(10.0 / params.cavity_decay, prop)], channels, np.random.default_rng(4)
-    )
-    shifted = evolve_with_jumps(
-        psi,
-        [Segment(10.0 / params.cavity_decay, prop)],
-        channels,
-        np.random.default_rng(4),
-        t0=500.0,
-    )
-    assert shifted.clicks[0].time == pytest.approx(base.clicks[0].time + 500.0)
-
-
 def test_segment_boundaries_do_not_consume_draws(params):
     # Splitting an interval into two segments must not change the outcome.
     space, prop, channels = _photon_setup(params)

@@ -219,9 +219,10 @@ def test_memoised_exchange_pulse_matches_fresh_engine(shared_engine, site, atom,
     atom = min(atom, SPACE.sites[site].atoms - 1)
     psi = _safe_state(np.random.default_rng(seed), site, atom)
     pulse_map = shared_engine.exchange_map(site, atom, t, intent)
-    first = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent, pulse_map)
-    again = shared_engine.apply_exchange_pulse(psi, site, atom, t, intent, pulse_map)
-    fresh = AnalyticEngine(SPACE, PARAMS).apply_exchange_pulse(psi, site, atom, t, intent=intent)
+    first = shared_engine.apply_exchange_pulse(psi, pulse_map)
+    again = shared_engine.apply_exchange_pulse(psi, pulse_map)
+    engine = AnalyticEngine(SPACE, PARAMS)
+    fresh = engine.apply_exchange_pulse(psi, engine.exchange_map(site, atom, t, intent))
     assert first.tobytes() == fresh.tobytes()
     assert again.tobytes() == fresh.tobytes()
 
@@ -236,15 +237,16 @@ def test_memoised_flip_pulse_matches_fresh_engine(shared_engine, site, atom, t, 
                    rng.normal(size=SPACE.dim) + 1j * rng.normal(size=SPACE.dim), 0.0)
     psi = normalized(psi)
     pulse_map = shared_engine.flip_map(site, atom, t, angle)
-    first = shared_engine.apply_flip_pulse(psi, site, atom, t, angle, pulse_map)
-    again = shared_engine.apply_flip_pulse(psi, site, atom, t, angle, pulse_map)
-    fresh = AnalyticEngine(SPACE, PARAMS).apply_flip_pulse(psi, site, atom, t, intent_angle=angle)
+    first = shared_engine.apply_flip_pulse(psi, pulse_map)
+    again = shared_engine.apply_flip_pulse(psi, pulse_map)
+    engine = AnalyticEngine(SPACE, PARAMS)
+    fresh = engine.apply_flip_pulse(psi, engine.flip_map(site, atom, t, angle))
     assert first.tobytes() == fresh.tobytes()
     assert again.tobytes() == fresh.tobytes()
     photon = psi.copy()
     photon[np.flatnonzero(SPACE.photon_numbers(site) > 0)[0]] = 1e-6
     with pytest.raises(PulseTruncationError):
-        shared_engine.apply_flip_pulse(photon, site, atom, t, angle, pulse_map)
+        shared_engine.apply_flip_pulse(photon, pulse_map)
 
 
 @PROPERTY
@@ -266,13 +268,13 @@ def test_memoised_wait_matches_fresh_engine(shared_engine, t, sites, photon_shif
 def test_cached_exchange_pulse_still_flags_cutoff(shared_engine, site, t, intent, top_amp):
     safe = _safe_state(np.random.default_rng(0), site, 0)
     pulse_map = shared_engine.exchange_map(site, 0, t, intent)
-    shared_engine.apply_exchange_pulse(safe, site, 0, t, intent, pulse_map)
+    shared_engine.apply_exchange_pulse(safe, pulse_map)
     cutoff = SPACE.sites[site].cutoff
     top = np.flatnonzero((SPACE.atom_levels(site, 0) == 1) & (SPACE.photon_numbers(site) == cutoff))
     hit = safe.copy()
     hit[top[0]] = top_amp
     with pytest.raises(PulseTruncationError):
-        shared_engine.apply_exchange_pulse(hit, site, 0, t, intent, pulse_map)
+        shared_engine.apply_exchange_pulse(hit, pulse_map)
 
 
 # -- sparse operator product ----------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cavtel.dynamics import Click, survival_solve
-from cavtel.experiment import receiver_fidelity
+from cavtel.experiment import EnsembleConfig, receiver_fidelity, run_ensemble
 from cavtel.params import desk_params, reference_params
 from cavtel.protocol import (
     LEAKAGE_LIMIT,
@@ -267,9 +267,9 @@ def _sequential_block(backend, psi, drives):
         if dur < span:
             psi = psi * idle(site, span - dur)
         if kind == "flip":
-            psi = engine.apply_flip_pulse(psi, site, atom, dur, intent_angle=FLIP_INTENT_ANGLE)
+            psi = engine.apply_flip_pulse(psi, engine.flip_map(site, atom, dur, FLIP_INTENT_ANGLE))
         else:
-            psi = engine.apply_exchange_pulse(psi, site, atom, dur, intent=PULSE_INTENT[kind])
+            psi = engine.apply_exchange_pulse(psi, engine.exchange_map(site, atom, dur, PULSE_INTENT[kind]))
     return psi, span
 
 
@@ -397,16 +397,16 @@ class _BranchWalk(IdealBackend):
         self.last = out[0]
         return out
 
-    def pulse_block(self, psi, drives, rng, t0=0.0, stage=""):
-        return self._memo(lambda: IdealBackend.pulse_block(self, psi, drives, rng, t0, stage))
+    def pulse_block(self, psi, drives, rng):
+        return self._memo(lambda: IdealBackend.pulse_block(self, psi, drives, rng))
 
-    def phase_wait(self, psi, duration, rng, t0=0.0, stage=""):
-        return self._memo(lambda: IdealBackend.phase_wait(self, psi, duration, rng, t0, stage))
+    def phase_wait(self, psi, duration, rng):
+        return self._memo(lambda: IdealBackend.phase_wait(self, psi, duration, rng))
 
     def _weights(self, psi):
         return np.bincount(self.engine.total_photons, weights=np.abs(psi) ** 2, minlength=self._sectors)
 
-    def detect_window(self, psi, rng, t0=0.0, stage="", stop_after_first=False):
+    def detect_window(self, psi, rng, stop_after_first=False):
         window = len(self.choices)
         if window < len(self.script):
             count = self.script[window]
@@ -421,9 +421,9 @@ class _BranchWalk(IdealBackend):
             count = counts[0]
             self.weight *= weights[count]
         self.choices.append(count)
-        return self._memo(lambda: self._forced(psi, count, t0, stage, stop_after_first))
+        return self._memo(lambda: self._forced(psi, count, stop_after_first))
 
-    def _forced(self, psi, count, t0, stage, stop_after_first):
+    def _forced(self, psi, count, stop_after_first):
         clicks, elapsed = [], 0.0
         dt = 1.0 / self.params.cavity_decay
         for _ in range(count):
@@ -434,10 +434,10 @@ class _BranchWalk(IdealBackend):
             psi = ports[side] / np.sqrt(weights[side])
             elapsed += dt
             channel = ("detector_plus", "detector_minus")[side]
-            clicks.append(Click(t0 + elapsed, channel, "detector", 1 - 2 * side, stage))
+            clicks.append(Click(elapsed, channel, "detector", 1 - 2 * side))
         if stop_after_first and count:
             return psi, clicks, elapsed
-        psi, _, _ = IdealBackend.detect_window(self, psi, _QueuedRng(0.0), t0 + elapsed, stage, stop_after_first)
+        psi, _, _ = IdealBackend.detect_window(self, psi, _QueuedRng(0.0), stop_after_first)
         return psi, clicks, self.times.detect
 
 
@@ -552,6 +552,22 @@ def test_numeric_success_matches_input(desk_backend):
             assert rec.leakage <= LEAKAGE_LIMIT
             return
     raise AssertionError("no successful desk run in 30 seeds")
+
+
+@pytest.mark.parametrize("backend, seed", [("effective", 307), ("full", 11)])
+def test_numeric_clicks_lie_on_the_run_clock(backend, seed):
+    # Backends count click times from the start of each call and the driver
+    # puts them on the run clock, so every record's clicks fall, in order,
+    # inside its run, and the main click inside its window.
+    config = EnsembleConfig(backend=backend, profile="desk", trajectories=30, seed=seed)
+    result = run_ensemble(config, keep_records=True)
+    detect = solve_pulse_times(result.params, detect_lifetimes=config.detect_lifetimes).detect
+    for rec in result.records:
+        times = [c.time for c in rec.clicks]
+        assert times == sorted(times)
+        assert all(0.0 <= t <= rec.elapsed for t in times)
+        assert 0.0 <= rec.main_click_offset <= detect
+    assert any(rec.main_click_offset > 0.0 for rec in result.records)
 
 
 def _replay_rows(backend, order):

@@ -102,12 +102,12 @@ def test_exchange_pulse_swaps_excitation(engine):
     space = engine.space
     times = solve_pulse_times(engine.params)
     psi = space.ket("100")
-    out = engine.apply_exchange_pulse(psi, 0, 0, times.swap, intent=PULSE_INTENT["swap"])
+    out = engine.apply_exchange_pulse(psi, engine.exchange_map(0, 0, times.swap, PULSE_INTENT["swap"]))
     assert norm2(out) == pytest.approx(1.0, abs=1e-12)
     target = space.index(space.parse("001"))
     assert abs(out[target]) == pytest.approx(1.0, abs=1e-12)
     # Same pulse again brings the excitation back (up to phase).
-    back = engine.apply_exchange_pulse(out, 0, 0, times.swap, intent=PULSE_INTENT["swap"])
+    back = engine.apply_exchange_pulse(out, engine.exchange_map(0, 0, times.swap, PULSE_INTENT["swap"]))
     assert abs(back[space.index(space.parse("100"))]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -119,14 +119,14 @@ def test_exchange_pulse_is_unitary_on_safe_states(engine):
     top = (space.atom_levels(0, 0) == 1) & (space.photon_numbers(0) == 3)
     psi[top] = 0.0
     psi = normalized(psi)
-    out = engine.apply_exchange_pulse(psi, 0, 0, 123.4)
+    out = engine.apply_exchange_pulse(psi, engine.exchange_map(0, 0, 123.4))
     assert norm2(out) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exchange_pulse_flags_cutoff_amplitude(engine):
     psi = engine.space.ket("103")
     with pytest.raises(PulseTruncationError):
-        engine.apply_exchange_pulse(psi, 0, 0, 1.0)
+        engine.apply_exchange_pulse(psi, engine.exchange_map(0, 0, 1.0))
 
 
 def test_exchange_intent_pins_sector_angles(engine):
@@ -135,9 +135,9 @@ def test_exchange_intent_pins_sector_angles(engine):
     one = space.ket("100")
     two = space.ket("101")
     intent = PULSE_INTENT["swap_double"]
-    frozen = engine.apply_exchange_pulse(one, 0, 0, times.swap_double, intent=intent)
+    frozen = engine.apply_exchange_pulse(one, engine.exchange_map(0, 0, times.swap_double, intent))
     assert abs(frozen[space.index(space.parse("100"))]) == pytest.approx(1.0, abs=1e-12)
-    moved = engine.apply_exchange_pulse(two, 0, 0, times.swap_double, intent=intent)
+    moved = engine.apply_exchange_pulse(two, engine.exchange_map(0, 0, times.swap_double, intent))
     assert abs(moved[space.index(space.parse("002"))]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -146,24 +146,24 @@ def test_exchange_literal_angle_uses_sqrt_sector(engine):
     space = engine.space
     p = engine.params
     t = 0.3 * np.pi / p.rabi_exchange
-    out = engine.apply_exchange_pulse(space.ket("101"), 0, 0, t)
+    out = engine.apply_exchange_pulse(space.ket("101"), engine.exchange_map(0, 0, t))
     stay = abs(out[space.index(space.parse("101"))])
     assert stay == pytest.approx(abs(np.cos(np.sqrt(2.0) * 0.3 * np.pi)), abs=1e-12)
 
 
 def test_flip_pulse_swaps_levels_and_needs_vacuum(engine):
     space = engine.space
-    out = engine.apply_flip_pulse(space.ket("100"), 0, 0, 0.0, intent_angle=np.pi / 2)
+    out = engine.apply_flip_pulse(space.ket("100"), engine.flip_map(0, 0, 0.0, np.pi / 2))
     assert abs(out[space.index(space.parse("000"))]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PulseTruncationError):
-        engine.apply_flip_pulse(space.ket("101"), 0, 0, 1.0)
+        engine.apply_flip_pulse(space.ket("101"), engine.flip_map(0, 0, 1.0))
 
 
 def test_flip_pulse_default_angle_tracks_duration(engine):
     space = engine.space
     p = engine.params
     t = 0.2 * np.pi / p.rabi_raman
-    out = engine.apply_flip_pulse(space.ket("100"), 0, 0, t)
+    out = engine.apply_flip_pulse(space.ket("100"), engine.flip_map(0, 0, t))
     assert abs(out[space.index(space.parse("100"))]) == pytest.approx(
         abs(np.cos(0.2 * np.pi)), abs=1e-12
     )
