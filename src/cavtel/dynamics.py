@@ -491,7 +491,7 @@ class Segment:
 
 @dataclass
 class Click:
-    """One jump; ``time`` counts from the start of the call that found it."""
+    """One jump, ``time`` counted from its walk's start; the protocol driver records a copy on the run clock."""
 
     time: float
     channel: str

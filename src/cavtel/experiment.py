@@ -226,15 +226,31 @@ def _require_channel_sizes(h: SparseOp, channels):
             raise ValueError(f"channel {ch.name} acts on {ch.op.dim} states, but H on {h.dim}")
 
 
+def _checkpoint_times(t_points) -> np.ndarray:
+    """``t_points`` as floats; ``ValueError`` unless 1-D, finite, non-negative and non-decreasing."""
+    times = np.asarray(t_points, dtype=float)
+    if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(times >= 0.0)
+            and np.all(np.diff(times) >= 0.0)):
+        raise ValueError("t_points must be a 1-D, finite, non-negative, non-decreasing sequence")
+    return times
+
+
 def master_equation_reference(h: SparseOp, channels, rho0, t_points):
     """Integrate the unconditional evolution matching the jump unraveling.
 
     d(rho)/dt = -i (H rho - rho H^dag) + sum_c C rho C^dag, with H carrying
     the anti-Hermitian decay half. Returns one density matrix per requested
-    time. Every channel must act on H's states.
+    time: ``rho0`` itself at t = 0, and the solution on the distinct positive
+    times elsewhere. ``t_points`` is checked as in ``mcwf_density_average``
+    (repeats allowed), ``rho0`` must be a finite (dim, dim) matrix, and every
+    channel must act on H's states.
     """
     _require_channel_sizes(h, channels)
+    times = _checkpoint_times(t_points)
     dim = h.dim
+    rho0 = np.asarray(rho0, dtype=np.complex128)
+    if not (rho0.shape == (dim, dim) and np.all(np.isfinite(rho0))):
+        raise ValueError(f"rho0 must be a finite ({dim}, {dim}) matrix")
     hd = h.to_dense()
     hdc = hd.conj().T
     cs = [ch.op.to_dense() for ch in channels]
@@ -247,19 +263,24 @@ def master_equation_reference(h: SparseOp, channels, rho0, t_points):
             out += c @ rho @ cd
         return out.ravel()
 
-    t_end = float(t_points[-1])
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        np.asarray(rho0, dtype=np.complex128).ravel(),
-        t_eval=t_points,
-        method="DOP853",
-        rtol=1e-8,
-        atol=1e-8,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return sol.y.T.reshape(len(t_points), dim, dim)
+    out = np.empty((len(times), dim, dim), dtype=np.complex128)
+    out[times == 0.0] = rho0
+    later = times > 0.0
+    solved = np.unique(times[later])
+    if solved.size:
+        sol = solve_ivp(
+            rhs,
+            (0.0, float(solved[-1])),
+            rho0.ravel(),
+            t_eval=solved,
+            method="DOP853",
+            rtol=1e-8,
+            atol=1e-8,
+        )
+        if not sol.success:
+            raise RuntimeError(f"reference integration failed: {sol.message}")
+        out[later] = sol.y.T.reshape(len(solved), dim, dim)[np.searchsorted(solved, times[later])]
+    return out
 
 
 # Trajectories whose checkpoint states are held at once before they are folded
@@ -276,18 +297,15 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     advances time. Its normalized states are stacked with those of up to
     ``_CHUNK`` trajectories, and each checkpoint's stack ``S`` adds
     ``S.T @ S.conj()`` to that checkpoint's sum, so memory does not grow
-    with ``n_traj``. ``n_traj`` must be an integer >= 1, ``t_points`` a
-    1-D, finite, non-negative, non-decreasing sequence (repeats are
-    allowed), ``psi0`` a finite 1-D state of length ``h.dim`` whose squared
+    with ``n_traj``. ``n_traj`` must be an integer >= 1 (not a bool),
+    ``t_points`` a 1-D, finite, non-negative, non-decreasing sequence
+    (repeats are allowed), ``psi0`` a finite 1-D state of length ``h.dim`` whose squared
     norm is 1 to within 1e-9, and every channel must act on H's states.
     """
     _require_channel_sizes(h, channels)
-    if not (isinstance(n_traj, Integral) and n_traj >= 1):
+    if not (isinstance(n_traj, Integral) and not isinstance(n_traj, bool) and n_traj >= 1):
         raise ValueError("n_traj must be an integer >= 1")
-    times = np.asarray(t_points, dtype=float)
-    if not (times.ndim == 1 and np.all(np.isfinite(times)) and np.all(times >= 0.0)
-            and np.all(np.diff(times) >= 0.0)):
-        raise ValueError("t_points must be a 1-D, finite, non-negative, non-decreasing sequence")
+    times = _checkpoint_times(t_points)
     start_state = np.asarray(psi0, dtype=np.complex128)
     if not (start_state.shape == (h.dim,) and np.all(np.isfinite(start_state))
             and abs(norm2(start_state) - 1.0) <= 1e-9):
@@ -370,9 +388,10 @@ def result_summary_dict(result: EnsembleResult) -> dict:
 
 
 def write_summary_json(path, result: EnsembleResult):
+    """Write summary.json; a payload JSON cannot hold raises before the file is opened."""
+    text = json.dumps(result_summary_dict(result), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(result_summary_dict(result), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_figure_csvs(outdir, stats):

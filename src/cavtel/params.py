@@ -81,6 +81,11 @@ class PhysicalParams:
                 bad.append(name)
         if bad:
             raise ValueError(f"derived rates must be finite and > 0, not so here: {', '.join(bad)}")
+        # Finite derived rates can still give a ratio past the float range,
+        # which summary.json could not hold.
+        bad = [row.name for row in self.validity() if not math.isfinite(row.ratio)]
+        if bad:
+            raise ValueError(f"validity ratios must be finite, not so here: {'; '.join(bad)}")
 
     @classmethod
     def from_mhz(

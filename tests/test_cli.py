@@ -200,19 +200,37 @@ def test_rates_that_underflow_a_derived_rate_exit_one(tmp_path, capsys):
 
 
 def test_rates_that_give_an_infinite_pulse_duration_exit_one(tmp_path, capsys):
-    # Every derived rate is finite and > 0, but rabi_exchange and rabi_raman
-    # are so small that the pulse durations overflow.
+    # Every derived rate and validity ratio is finite and > 0, but
+    # rabi_exchange is so small that the exchange pulse durations overflow.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "backend": "ideal",
         "trajectories": 2,
-        "params_mhz": {"laser_detuning": 1e300, "rabi_strong": 1e-5, "rabi_weak": 1e-6,
-                       "cavity_coupling": 1e-7, "atom_decay": 1e-4, "cavity_decay": 1e-7},
+        "params_mhz": {"laser_detuning": 1.0, "rabi_strong": 1e-150, "rabi_weak": 1e-151,
+                       "cavity_coupling": 1e-160, "atom_decay": 1.0, "cavity_decay": 1.0},
     }))
     assert _run_main(["run", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "pulse durations" in err and "swap" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_rates_that_give_an_infinite_validity_ratio_exit_one(tmp_path, capsys):
+    # Every derived rate and pulse duration is finite, but the ratio of
+    # cavity_decay to the scattering rate is not, and summary.json cannot
+    # hold it: nothing may be written.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": "ideal",
+        "trajectories": 2,
+        "params_mhz": {"laser_detuning": 1e160, "rabi_strong": 1.0, "rabi_weak": 1.0,
+                       "cavity_coupling": 1e150, "atom_decay": 1.0, "cavity_decay": 1.0},
+    }))
+    out = tmp_path / "out"
+    assert _run_main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "validity ratios" in err and "cavity_decay over scattering rate" in err
+    assert not out.exists()
 
 
 def test_input_amplitudes_whose_squares_overflow_run(tmp_path):

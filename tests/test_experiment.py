@@ -335,6 +335,7 @@ def test_mcwf_average_repeats_exactly(decay_system):
         (4, [2.0, 1.0], "t_points"),
         (4, [-1.0], "t_points"),
         (4, [math.nan], "t_points"),
+        (True, [1.0], "n_traj"),  # EnsembleConfig does not take a bool as a count either
     ],
 )
 def test_mcwf_average_rejects_bad_inputs(decay_system, n_traj, t_points, name):
@@ -379,6 +380,54 @@ def test_master_equation_rejects_channels_of_another_size(decay_system):
     psi0 = _bell_pair(space)
     with pytest.raises(ValueError, match=rf"channel detector_plus acts on 6 states, but H on {h.dim}"):
         master_equation_reference(h, _wider_channels(params), np.outer(psi0, psi0.conj()), [1.0])
+
+
+@pytest.mark.parametrize(
+    "t_points, error",
+    [
+        ([math.nan], "t_points"),
+        ([math.inf], "t_points"),
+        ([-1.0], "t_points"),
+        ([2.0, 1.0], "t_points"),
+        ([[1.0]], "t_points"),
+        ([], None),
+        ([0.0], None),
+        ([1.0, 1.0], None),
+        ([0.0, 0.5, 0.5, 1.0], None),
+    ],
+)
+def test_density_references_share_one_time_check(decay_system, t_points, error):
+    # Both references refuse the same checkpoint lists before any work, and
+    # take the same ones: the master equation returns rho0 at t = 0 and
+    # solves only the distinct positive times.
+    space, params, h, channels = decay_system
+    psi0 = _bell_pair(space)
+    rho0 = np.outer(psi0, psi0.conj())
+    if error:
+        with pytest.raises(ValueError, match=error):
+            master_equation_reference(h, channels, rho0, t_points)
+        with pytest.raises(ValueError, match=error):
+            mcwf_density_average(h, channels, psi0, t_points, n_traj=2, seed=1)
+        return
+    rhos = master_equation_reference(h, channels, rho0, t_points)
+    average = mcwf_density_average(h, channels, psi0, t_points, n_traj=2, seed=1)
+    assert rhos.shape == average.shape == (len(t_points), h.dim, h.dim)
+    distinct = sorted({t for t in t_points if t > 0.0})
+    solved = master_equation_reference(h, channels, rho0, distinct)
+    for rho, t in zip(rhos, t_points):
+        assert np.array_equal(rho, rho0 if t == 0.0 else solved[distinct.index(t)])
+
+
+@pytest.mark.parametrize(
+    "make_rho0",
+    [lambda rho: rho[:-1], lambda rho: rho.ravel(), lambda rho: np.where(rho == 0, np.nan, rho)],
+    ids=["rows", "1d", "nan"],
+)
+def test_master_equation_rejects_bad_rho0(decay_system, make_rho0):
+    space, params, h, channels = decay_system
+    psi0 = _bell_pair(space)
+    with pytest.raises(ValueError, match="rho0"):
+        master_equation_reference(h, channels, make_rho0(np.outer(psi0, psi0.conj())), [1.0])
 
 
 def test_trace_distance_reference_values():
@@ -431,6 +480,14 @@ def test_summary_json_is_strict_when_a_curve_has_no_successes(tmp_path):
     assert payload["stats"]["mean_fidelity_err"][0] is None
     assert payload["stats"]["mean_fidelity"][1] == res.stats["mean_fidelity"][1]
     assert payload == result_summary_dict(res)
+
+
+def test_failed_summary_dump_leaves_no_file(tmp_path, small_ideal_result):
+    res = dataclasses.replace(small_ideal_result, stats={**small_ideal_result.stats, "mean_repetitions": math.inf})
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_summary_json(path, res)
+    assert not path.exists()
 
 
 def test_csv_reports_abort_reasons(tmp_path):

@@ -1,11 +1,12 @@
 """The hot numeric kernels, checked through the methods that run them.
 
 Each kernel is one numpy expression inside its caller: the coordinate-form
-apply in ``SparseOp.apply``, the phase-decay map in
-``DiagonalPropagator.evolve``, the survival root-finder
+apply in ``SparseOp.apply``, the survival root-finder
 ``dynamics.survival_solve``, the pairwise rotation in the closed-form pulse
 maps, and the eigenbasis propagation in ``EigPropagator.evolve``: one dense
-V diag(exp(-i lam t)) W factor per tensor axis, a plain matvec for one axis.
+V diag(exp(-i lam t)) W factor per tensor axis, a plain matvec for one axis,
+and an elementwise exp(-i lam t) on a diagonal axis, which is how a
+``DiagonalPropagator`` applies its phase and decay.
 """
 
 import numpy as np
