@@ -299,8 +299,9 @@ def mcwf_density_average(h: SparseOp, channels, psi0, t_points, n_traj, seed):
     ``S.T @ S.conj()`` to that checkpoint's sum, so memory does not grow
     with ``n_traj``. ``n_traj`` must be an integer >= 1 (not a bool),
     ``t_points`` a 1-D, finite, non-negative, non-decreasing sequence
-    (repeats are allowed), ``psi0`` a finite 1-D state of length ``h.dim`` whose squared
-    norm is 1 to within 1e-9, and every channel must act on H's states.
+    (repeats are allowed), ``psi0`` a finite 1-D state of length ``h.dim``
+    whose squared norm is 1 to within 1e-9, and every channel must act on
+    H's states.
     """
     _require_channel_sizes(h, channels)
     if not (isinstance(n_traj, Integral) and not isinstance(n_traj, bool) and n_traj >= 1):

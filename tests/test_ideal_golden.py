@@ -11,11 +11,11 @@ Outcome, repetitions and elapsed time (as ``float.hex``) are exact;
 fidelity is held to 1e-14 for the ideal engine and 1e-12 for the numeric
 tiers. Each numeric row also lists its record's clicks as ``[time.hex(),
 sign]`` on the run clock, compared exactly; the ideal engine's click times
-are pinned by the trace sha256. To re-record after a change that is meant to move the bits, run
-``PYTHONPATH=src python tests/test_ideal_golden.py`` from the root of a
-checkout and commit the rewritten fixtures with the reason. The script
-prints every row that moved against the fixture it replaces, and whether
-the trace sha256 moved.
+are pinned by the trace sha256. To re-record after a change that is meant
+to move the bits, run ``PYTHONPATH=src python tests/test_ideal_golden.py``
+from the root of a checkout and commit the rewritten fixtures with the
+reason. The script prints every row that moved against the fixture it
+replaces, and whether the trace sha256 moved.
 """
 
 import hashlib
